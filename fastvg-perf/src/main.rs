@@ -6,7 +6,7 @@
 //!
 //! ```sh
 //! cargo run --release --offline -q --manifest-path fastvg-perf/Cargo.toml -- \
-//!     --workload fast-cold --seed 1 --seconds 30 --trace 0
+//!     --workload fast-cold --seed 1 --seconds 45 --trace 0
 //! ```
 //!
 //! `--trace 0` prints the end-to-end metrics; `--trace 1` runs the same
