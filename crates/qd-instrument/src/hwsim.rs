@@ -540,13 +540,13 @@ impl HwSimSource {
     /// A source over `scenario` through `profile`'s instrument. All
     /// stochastic behavior derives from `scenario.seed` and the
     /// profile, nothing else.
-    pub fn new(profile: HwSimProfile, scenario: &SourceScenario) -> Self {
+    pub fn new(profile: HwSimProfile, scenario: SourceScenario) -> Self {
         let window = VoltageWindow::from_grid(scenario.csd.grid());
         let dac = profile.dac_for(&window);
         let salt = fnv1a64(profile.canonical_args().as_bytes());
         let drift = (profile.drift > 0.0).then(|| PinkNoise::new(profile.drift, 4, 0.05));
         Self {
-            inner: CsdSource::new(scenario.csd.clone()),
+            inner: CsdSource::new(scenario.csd),
             window,
             dac,
             seed: scenario.seed,
@@ -639,7 +639,7 @@ impl SourceBackend for HwSimBackend {
     // `throttled:<dwell>+hwsim:<profile>` for wall-clock realism.
 
     fn open(&self, scenario: SourceScenario) -> Result<BoxedSource, BackendError> {
-        Ok(Box::new(HwSimSource::new(self.profile.clone(), &scenario)))
+        Ok(Box::new(HwSimSource::new(self.profile.clone(), scenario)))
     }
 }
 
@@ -773,8 +773,8 @@ mod tests {
         let s = scenario();
         let backend = HwSimBackend::new(HwSimProfile::preset(HwSimPreset::Nominal));
         assert_eq!(backend.describe(), "hwsim:nominal");
-        let mut source = HwSimSource::new(backend.profile().clone(), &s);
         let mut plain = CsdSource::new(s.csd.clone());
+        let mut source = HwSimSource::new(backend.profile().clone(), s);
         // A 16-bit DAC over a 31 V window has a ~0.5 mV LSB: every probe
         // lands on the same pixel the ideal source reads.
         for (v1, v2) in [(-10.0, 5.0), (0.25, 17.75), (21.0, 36.0)] {
@@ -788,8 +788,7 @@ mod tests {
     fn sources_are_deterministic_from_the_scenario_seed() {
         let profile = HwSimProfile::parse("hostile").unwrap();
         let run = || {
-            let s = scenario();
-            let mut src = HwSimSource::new(profile.clone(), &s);
+            let mut src = HwSimSource::new(profile.clone(), scenario());
             (0..40)
                 .map(|i| {
                     src.current(-10.0 + i as f64 * 0.7, 5.0 + i as f64 * 0.3)
@@ -799,8 +798,8 @@ mod tests {
         };
         assert_eq!(run(), run(), "same seed, same probe order -> same bits");
 
-        let other = HwSimSource::new(profile.clone(), &scenario().with_seed(100));
-        let mut a = HwSimSource::new(profile, &scenario());
+        let other = HwSimSource::new(profile.clone(), scenario().with_seed(100));
+        let mut a = HwSimSource::new(profile, scenario());
         let mut b = other;
         let va: Vec<u64> = (0..40)
             .map(|i| a.current(i as f64, i as f64).to_bits())
@@ -831,12 +830,13 @@ mod tests {
     #[test]
     fn dead_pixels_read_the_rail() {
         let s = scenario();
-        let mut src = HwSimSource::new(HwSimProfile::parse("nominal,dead=0.3").unwrap(), &s);
+        let seed = s.seed;
+        let mut src = HwSimSource::new(HwSimProfile::parse("nominal,dead=0.3").unwrap(), s);
         let w = src.window();
         let mut found = None;
         'scan: for x in 0..w.width_px() as i64 {
             for y in 0..w.height_px() as i64 {
-                if is_dead_pixel(x, y, s.seed, 0.3) {
+                if is_dead_pixel(x, y, seed, 0.3) {
                     found = Some((x, y));
                     break 'scan;
                 }
@@ -850,9 +850,9 @@ mod tests {
 
     #[test]
     fn crosstalk_shears_off_center_readings_only() {
-        let s = scenario();
-        let mut ideal = HwSimSource::new(HwSimProfile::preset(HwSimPreset::Nominal), &s);
-        let mut sheared = HwSimSource::new(HwSimProfile::parse("nominal,xt=0.2").unwrap(), &s);
+        let mut ideal = HwSimSource::new(HwSimProfile::preset(HwSimPreset::Nominal), scenario());
+        let mut sheared =
+            HwSimSource::new(HwSimProfile::parse("nominal,xt=0.2").unwrap(), scenario());
         let w = ideal.window();
         let (cx, cy) = (0.5 * (w.x_min + w.x_max), 0.5 * (w.y_min + w.y_max));
         // Dead center: no shear.

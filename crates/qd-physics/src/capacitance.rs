@@ -24,6 +24,11 @@ pub struct CapacitanceModel {
 }
 
 impl CapacitanceModel {
+    /// Largest supported dot count. Charge-state evaluation enumerates
+    /// at least `2^n` configurations per gate-voltage point and keeps its
+    /// per-dot scratch on the stack, sized by this bound.
+    pub const MAX_DOTS: usize = 16;
+
     /// Builds the model from total dot capacitances, symmetric mutual
     /// capacitances and the gate lever-arm matrix.
     ///
@@ -36,6 +41,8 @@ impl CapacitanceModel {
     ///
     /// * [`PhysicsError::BadDimensions`] for empty dots/gates or ragged
     ///   lever-arm rows.
+    /// * [`PhysicsError::TooManyDots`] for more than [`Self::MAX_DOTS`]
+    ///   dots.
     /// * [`PhysicsError::InvalidParameter`] for non-positive totals or
     ///   negative mutuals.
     /// * [`PhysicsError::SingularCapacitance`] if `C` is not invertible.
@@ -47,6 +54,12 @@ impl CapacitanceModel {
         let n = totals.len();
         if n == 0 {
             return Err(PhysicsError::BadDimensions { what: "dots" });
+        }
+        if n > Self::MAX_DOTS {
+            return Err(PhysicsError::TooManyDots {
+                dots: n,
+                max: Self::MAX_DOTS,
+            });
         }
         if lever_arms.len() != n {
             return Err(PhysicsError::BadDimensions {
@@ -160,19 +173,31 @@ impl CapacitanceModel {
     /// Returns [`PhysicsError::GateCountMismatch`] if `voltages.len()`
     /// differs from [`Self::n_gates`].
     pub fn induced_charge(&self, voltages: &[f64]) -> Result<Vec<f64>, PhysicsError> {
+        let mut q = vec![0.0; self.n_dots];
+        self.induced_charge_into(voltages, &mut q)?;
+        Ok(q)
+    }
+
+    /// [`Self::induced_charge`] into `q` (length [`Self::n_dots`]): each
+    /// `q_i` is accumulated from `0.0` over the gates in order.
+    pub(crate) fn induced_charge_into(
+        &self,
+        voltages: &[f64],
+        q: &mut [f64],
+    ) -> Result<(), PhysicsError> {
         if voltages.len() != self.n_gates {
             return Err(PhysicsError::GateCountMismatch {
                 expected: self.n_gates,
                 got: voltages.len(),
             });
         }
-        let mut q = vec![0.0; self.n_dots];
-        for (i, qi) in q.iter_mut().enumerate() {
-            for (j, &v) in voltages.iter().enumerate() {
-                *qi += self.cg[i * self.n_gates + j] * v;
+        for (qi, row) in q.iter_mut().zip(self.cg.chunks_exact(self.n_gates)) {
+            *qi = 0.0;
+            for (&c, &v) in row.iter().zip(voltages) {
+                *qi += c * v;
             }
         }
-        Ok(q)
+        Ok(())
     }
 
     /// Electrostatic energy `U(N, V) = ½ (N − q)ᵀ E (N − q)` of an integer
@@ -190,19 +215,35 @@ impl CapacitanceModel {
                 what: "occupations",
             });
         }
-        let q = self.induced_charge(voltages)?;
-        let d: Vec<f64> = occupations
-            .iter()
-            .zip(&q)
-            .map(|(&n, &qi)| n as f64 - qi)
-            .collect();
+        let n = self.n_dots;
+        let mut q = [0.0; Self::MAX_DOTS];
+        self.induced_charge_into(voltages, &mut q[..n])?;
+        let mut occupation = [0.0; Self::MAX_DOTS];
+        for (o, &k) in occupation.iter_mut().zip(occupations) {
+            *o = f64::from(k);
+        }
+        Ok(self.energy_at(&q[..n], &occupation[..n]))
+    }
+
+    /// `U = Σ_i Σ_j ½·d_i·E_ij·d_j` with `d = N − q`, for an occupation
+    /// already in `f64` and a precomputed induced charge `q`. Each term is
+    /// `((0.5 · d_i) · E_ij) · d_j`, accumulated from `0.0` row-major.
+    /// Inline so the charge-state kernel's walks, which call it twice per
+    /// configuration, can fuse it across codegen units.
+    #[inline]
+    pub(crate) fn energy_at(&self, q: &[f64], occupation: &[f64]) -> f64 {
         let mut u = 0.0;
-        for i in 0..self.n_dots {
-            for j in 0..self.n_dots {
-                u += 0.5 * d[i] * self.e[i * self.n_dots + j] * d[j];
+        for ((&oi, &qi), row) in occupation
+            .iter()
+            .zip(q)
+            .zip(self.e.chunks_exact(self.n_dots))
+        {
+            let half_di = 0.5 * (oi - qi);
+            for ((&oj, &qj), &e) in occupation.iter().zip(q).zip(row) {
+                u += half_di * e * (oj - qj);
             }
         }
-        Ok(u)
+        u
     }
 
     /// Analytic slope `dV_b / dV_a` of the charge-transition line on which

@@ -5,6 +5,37 @@
 //! occupation vector minimizing `U`. At finite electron temperature the
 //! occupation is a Boltzmann mixture over nearby configurations, which is
 //! what broadens transition lines in measured charge stability diagrams.
+//!
+//! # Evaluation kernel
+//!
+//! Every simulated pixel is evaluated here, by one allocation-free kernel
+//! shared by [`ChargeStateSolver::thermal_occupation`],
+//! [`ChargeStateSolver::ground_state`] and the device methods built on
+//! them ([`crate::LinearArrayDevice::current`], `mean_occupation` and
+//! `ground_state`). Per call it computes the induced charge `q = C_g·V`
+//! once, then walks the configurations `{0..=max_electrons}^n` with an
+//! odometer over a stack buffer (dot 0 fastest), recomputing each
+//! configuration's energy instead of storing it.
+//!
+//! **Invariant:** the kernel performs the same `f64` operations, in the
+//! same order, as the reference formulas, so every value it returns is
+//! bit-identical to evaluating them directly:
+//!
+//! * `q_i = Σ_g C_g[i, g] · V_g`, accumulated from `0.0` in gate order;
+//! * `U(N) = Σ_i Σ_j ((½ · d_i) · E_ij) · d_j` with `d = N − q`,
+//!   accumulated from `0.0` row-major;
+//! * configurations in odometer order; the ground state is the first
+//!   configuration no later one undercuts;
+//! * `u_min` folded from `+∞` with `f64::min`, in configuration order;
+//! * weights `w = exp(−(U − u_min) / kT)`, with `Z` and `⟨N_i⟩`
+//!   accumulated in configuration order and `⟨N_i⟩ / Z` last (`kT = 0`
+//!   returns the ground state);
+//! * the sensor current `I₀ + ½·swing·tanh(φ / scale)` of
+//!   [`crate::SensorModel::current`].
+//!
+//! Reordering any sum, fusing a multiply-add or storing a rescaled weight
+//! would move the last bit of realized diagrams and break the golden
+//! digests that pin them.
 
 use crate::{CapacitanceModel, PhysicsError};
 
@@ -93,18 +124,12 @@ impl ChargeStateSolver {
         model: &CapacitanceModel,
         voltages: &[f64],
     ) -> Result<ChargeConfiguration, PhysicsError> {
-        let mut best: Option<(f64, Vec<u32>)> = None;
-        self.for_each_config(model.n_dots(), &mut |occ| {
-            let u = model.energy(occ, voltages)?;
-            match &best {
-                Some((bu, _)) if *bu <= u => {}
-                _ => best = Some((u, occ.to_vec())),
-            }
-            Ok(())
-        })?;
-        // for_each_config always visits at least the all-zero configuration.
-        let (_, occ) = best.expect("at least one configuration is always evaluated");
-        Ok(ChargeConfiguration::new(occ))
+        let mut best = [0.0; CapacitanceModel::MAX_DOTS];
+        let best = &mut best[..model.n_dots()];
+        self.ground_state_into(model, voltages, best)?;
+        Ok(ChargeConfiguration::new(
+            best.iter().map(|&n| n as u32).collect(),
+        ))
     }
 
     /// Thermal (Boltzmann) expectation of the occupation of every dot at
@@ -131,55 +156,91 @@ impl ChargeStateSolver {
                 constraint: "must be non-negative and finite",
             });
         }
-        if kt == 0.0 {
-            let gs = self.ground_state(model, voltages)?;
-            return Ok(gs.occupations().iter().map(|&n| n as f64).collect());
-        }
-
-        // Collect energies; subtract the minimum before exponentiating for
-        // numerical stability.
-        let n_dots = model.n_dots();
-        let mut configs: Vec<(Vec<u32>, f64)> = Vec::new();
-        self.for_each_config(n_dots, &mut |occ| {
-            configs.push((occ.to_vec(), model.energy(occ, voltages)?));
-            Ok(())
-        })?;
-        let u_min = configs
-            .iter()
-            .map(|(_, u)| *u)
-            .fold(f64::INFINITY, f64::min);
-        let mut z = 0.0;
-        let mut mean = vec![0.0; n_dots];
-        for (occ, u) in &configs {
-            let w = (-(u - u_min) / kt).exp();
-            z += w;
-            for (m, &n) in mean.iter_mut().zip(occ) {
-                *m += w * n as f64;
-            }
-        }
-        for m in &mut mean {
-            *m /= z;
-        }
+        let mut mean = vec![0.0; model.n_dots()];
+        self.thermal_occupation_into(model, voltages, kt, &mut mean)?;
         Ok(mean)
     }
 
-    /// Visits every occupation vector in `{0..=max_electrons}^n_dots`.
-    fn for_each_config<F>(&self, n_dots: usize, f: &mut F) -> Result<(), PhysicsError>
-    where
-        F: FnMut(&[u32]) -> Result<(), PhysicsError>,
-    {
-        let base = self.max_electrons as u64 + 1;
-        let count = base.pow(n_dots as u32);
-        let mut occ = vec![0u32; n_dots];
-        for idx in 0..count {
-            let mut rem = idx;
-            for slot in occ.iter_mut() {
-                *slot = (rem % base) as u32;
-                rem /= base;
+    /// [`Self::ground_state`] into `best` (one entry per dot), allocating
+    /// nothing.
+    fn ground_state_into(
+        &self,
+        model: &CapacitanceModel,
+        voltages: &[f64],
+        best: &mut [f64],
+    ) -> Result<(), PhysicsError> {
+        let mut q = [0.0; CapacitanceModel::MAX_DOTS];
+        let q = &mut q[..model.n_dots()];
+        model.induced_charge_into(voltages, q)?;
+        let mut best_u = None;
+        self.for_each_config(model.n_dots(), |occ| {
+            let u = model.energy_at(q, occ);
+            if !matches!(best_u, Some(bu) if bu <= u) {
+                best_u = Some(u);
+                best.copy_from_slice(occ);
             }
-            f(&occ)?;
+        });
+        Ok(())
+    }
+
+    /// [`Self::thermal_occupation`] into `mean` (one entry per dot) for an
+    /// already validated `kt`, allocating nothing: the per-pixel kernel.
+    pub(crate) fn thermal_occupation_into(
+        &self,
+        model: &CapacitanceModel,
+        voltages: &[f64],
+        kt: f64,
+        mean: &mut [f64],
+    ) -> Result<(), PhysicsError> {
+        if kt == 0.0 {
+            return self.ground_state_into(model, voltages, mean);
+        }
+        let n_dots = model.n_dots();
+        let mut q = [0.0; CapacitanceModel::MAX_DOTS];
+        let q = &mut q[..n_dots];
+        model.induced_charge_into(voltages, q)?;
+
+        // Subtract the minimum energy before exponentiating for numerical
+        // stability. Energies are recomputed in the second walk rather
+        // than stored, so the scratch stays on the stack.
+        let mut u_min = f64::INFINITY;
+        self.for_each_config(n_dots, |occ| {
+            u_min = u_min.min(model.energy_at(q, occ));
+        });
+        let mut z = 0.0;
+        mean.fill(0.0);
+        self.for_each_config(n_dots, |occ| {
+            let w = (-(model.energy_at(q, occ) - u_min) / kt).exp();
+            z += w;
+            for (m, &n) in mean.iter_mut().zip(occ) {
+                *m += w * n;
+            }
+        });
+        for m in mean.iter_mut() {
+            *m /= z;
         }
         Ok(())
+    }
+
+    /// Visits every occupation vector in `{0..=max_electrons}^n_dots`, as
+    /// `f64` counts, in odometer order (dot 0 fastest).
+    fn for_each_config(&self, n_dots: usize, mut f: impl FnMut(&[f64])) {
+        let max = f64::from(self.max_electrons);
+        let mut occ = [0.0; CapacitanceModel::MAX_DOTS];
+        let occ = &mut occ[..n_dots];
+        'walk: loop {
+            f(occ);
+            // Slots at `max` wrap to zero until one can tick up; when
+            // every slot wraps, the walk is complete.
+            for slot in occ.iter_mut() {
+                if *slot < max {
+                    *slot += 1.0;
+                    continue 'walk;
+                }
+                *slot = 0.0;
+            }
+            return;
+        }
     }
 }
 

@@ -121,10 +121,11 @@ impl LinearArrayDevice {
     /// Returns [`PhysicsError::GateCountMismatch`] for a wrong-length
     /// voltage vector.
     pub fn current(&self, voltages: &[f64]) -> Result<f64, PhysicsError> {
-        let occ = self
-            .solver
-            .thermal_occupation(&self.model, voltages, self.temperature)?;
-        self.sensor.current(&occ, voltages)
+        let mut occ = [0.0; CapacitanceModel::MAX_DOTS];
+        let occ = &mut occ[..self.model.n_dots()];
+        self.solver
+            .thermal_occupation_into(&self.model, voltages, self.temperature, occ)?;
+        self.sensor.current(occ, voltages)
     }
 
     /// Ground-state charge configuration at `voltages`.
@@ -500,6 +501,18 @@ mod tests {
         let t12 = d.pair_ground_truth(1).unwrap();
         assert!(t01.slope_v < -1.0 && t12.slope_v < -1.0);
         assert!(d.pair_ground_truth(2).is_err());
+    }
+
+    #[test]
+    fn oversized_arrays_are_a_typed_error() {
+        let max = CapacitanceModel::MAX_DOTS;
+        assert!(DeviceBuilder::linear_array(max).build_array().is_ok());
+        assert_eq!(
+            DeviceBuilder::linear_array(max + 1)
+                .build_array()
+                .unwrap_err(),
+            PhysicsError::TooManyDots { dots: max + 1, max }
+        );
     }
 
     #[test]

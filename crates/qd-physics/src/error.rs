@@ -27,6 +27,14 @@ pub enum PhysicsError {
         /// Gates the caller supplied.
         got: usize,
     },
+    /// A model had more dots than charge-state evaluation supports
+    /// ([`crate::CapacitanceModel::MAX_DOTS`]).
+    TooManyDots {
+        /// Dots requested.
+        dots: usize,
+        /// The supported maximum.
+        max: usize,
+    },
 }
 
 impl fmt::Display for PhysicsError {
@@ -46,6 +54,9 @@ impl fmt::Display for PhysicsError {
             }
             PhysicsError::GateCountMismatch { expected, got } => {
                 write!(f, "expected {expected} gate voltages, got {got}")
+            }
+            PhysicsError::TooManyDots { dots, max } => {
+                write!(f, "{dots} dots exceed the supported maximum of {max}")
             }
         }
     }
@@ -70,6 +81,7 @@ mod tests {
                 expected: 2,
                 got: 3,
             },
+            PhysicsError::TooManyDots { dots: 17, max: 16 },
         ];
         for e in errs {
             let s = e.to_string();

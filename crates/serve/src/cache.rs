@@ -18,7 +18,7 @@
 use fastvg_wire::mix64;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Cache sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,11 +49,38 @@ pub struct CachedResult {
     pub ok: bool,
 }
 
+impl From<SharedResult> for CachedResult {
+    fn from(shared: SharedResult) -> Self {
+        Self {
+            body: shared.body.to_vec(),
+            ok: shared.ok,
+        }
+    }
+}
+
+/// [`CachedResult`] with its body shared instead of copied: the daemon's
+/// job table, `?wait` completions and the cache all hold one allocation
+/// of each result document.
+#[derive(Debug, Clone)]
+pub(crate) struct SharedResult {
+    pub(crate) body: Arc<[u8]>,
+    pub(crate) ok: bool,
+}
+
+impl From<CachedResult> for SharedResult {
+    fn from(result: CachedResult) -> Self {
+        Self {
+            body: result.body.into(),
+            ok: result.ok,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Entry {
     /// Full canonical key, verified on hit (fingerprints may collide).
     key: String,
-    result: CachedResult,
+    result: SharedResult,
     /// Last-touch tick for LRU ordering.
     touched: u64,
 }
@@ -98,6 +125,11 @@ impl ResultCache {
     /// Looks up the stored result for `(fingerprint, key)`, refreshing
     /// its LRU position on hit.
     pub fn get(&self, fingerprint: u64, key: &str) -> Option<CachedResult> {
+        self.get_shared(fingerprint, key).map(CachedResult::from)
+    }
+
+    /// [`ResultCache::get`] sharing the stored body instead of copying it.
+    pub(crate) fn get_shared(&self, fingerprint: u64, key: &str) -> Option<SharedResult> {
         if self.per_shard_capacity == 0 {
             return None;
         }
@@ -117,7 +149,7 @@ impl ResultCache {
     /// lookup: a sibling probing `GET /cache/<fingerprint>` without the
     /// canonical key gets the entry plus the key that owns it.
     /// Refreshes the LRU position like [`ResultCache::get`].
-    pub fn peek(&self, fingerprint: u64) -> Option<(String, CachedResult)> {
+    pub(crate) fn peek(&self, fingerprint: u64) -> Option<(String, SharedResult)> {
         if self.per_shard_capacity == 0 {
             return None;
         }
@@ -131,6 +163,11 @@ impl ResultCache {
     /// Stores a result under `(fingerprint, key)`, evicting the shard's
     /// least-recently-used entry when over capacity.
     pub fn insert(&self, fingerprint: u64, key: &str, result: CachedResult) {
+        self.insert_shared(fingerprint, key, result.into());
+    }
+
+    /// [`ResultCache::insert`] of a body the caller keeps sharing.
+    pub(crate) fn insert_shared(&self, fingerprint: u64, key: &str, result: SharedResult) {
         if self.per_shard_capacity == 0 {
             return;
         }
@@ -252,7 +289,7 @@ mod tests {
         c.insert(7, "canonical-7", ok(b"body-7"));
         let (key, result) = c.peek(7).expect("entry present");
         assert_eq!(key, "canonical-7");
-        assert_eq!(result, ok(b"body-7"));
+        assert_eq!(CachedResult::from(result), ok(b"body-7"));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! composition or worker count — only wall-clock fields vary. That is
 //! what makes result caching sound.
 
-use crate::cache::ResultCache;
+use crate::cache::{ResultCache, SharedResult};
 use crate::metrics::Metrics;
 use fastvg_core::api::{extract_with, ExtractionReport, Extractor};
 use fastvg_core::baseline::HoughBaseline;
@@ -99,8 +99,9 @@ pub struct FinishedJob {
     pub ok: bool,
     /// Whether this outcome was served from the result cache.
     pub cache_hit: bool,
-    /// The result document bytes.
-    pub body: Vec<u8>,
+    /// The result document bytes, one allocation shared by the job
+    /// table, completion callbacks and the result cache.
+    pub body: Arc<[u8]>,
 }
 
 impl FinishedJob {
@@ -139,8 +140,9 @@ impl JobState {
 
 struct JobEntry {
     state: JobState,
-    /// Taken by the scheduler when the job starts running.
-    request: Option<JobRequest>,
+    /// Taken by the scheduler when the job starts running. Boxed so the
+    /// thousands of finished entries the table remembers stay small.
+    request: Option<Box<JobRequest>>,
     submitted: Instant,
 }
 
@@ -228,7 +230,7 @@ impl JobQueue {
             id,
             JobEntry {
                 state: JobState::Queued,
-                request: Some(request),
+                request: Some(Box::new(request)),
                 submitted: Instant::now(),
             },
         );
@@ -313,7 +315,7 @@ impl JobQueue {
                     let entry = inner.jobs.get_mut(&id).expect("pending job in table");
                     entry.state = JobState::Running;
                     let request = entry.request.take().expect("queued job has request");
-                    batch.push((id, request, entry.submitted));
+                    batch.push((id, *request, entry.submitted));
                 }
                 return Some(batch);
             }
@@ -513,43 +515,33 @@ impl Scheduler {
         let realized: Vec<Result<Csd, String>> =
             pool.par_map(batch, |_, (_, request, _)| request.scenario.realize());
 
-        // Scenarios that failed to realize finish immediately.
-        for ((id, request, submitted), realized) in batch.iter().zip(&realized) {
-            if let Err(message) = realized {
-                self.finish(
-                    *id,
-                    request,
-                    *submitted,
-                    FinishedJob {
-                        ok: false,
-                        cache_hit: false,
-                        body: request_failure_body(message),
-                    },
-                    None,
-                );
-            }
-        }
-
-        // A method with no registered extractor must still finish its
-        // jobs (defensive: `Method` is non-exhaustive, and a hung job
-        // would pin its waiter until the timeout).
-        for ((id, request, submitted), realized) in batch.iter().zip(&realized) {
-            if realized.is_ok() && !extractors.iter().any(|(m, _)| *m == request.method) {
-                self.finish(
-                    *id,
-                    request,
-                    *submitted,
-                    FinishedJob {
-                        ok: false,
-                        cache_hit: false,
-                        body: request_failure_body(&format!(
-                            "method {} not servable",
-                            request.method
-                        )),
-                    },
-                    None,
-                );
-            }
+        // Scenarios that failed to realize finish immediately, and so does
+        // a method with no registered extractor (defensive: `Method` is
+        // non-exhaustive, and a hung job would pin its waiter until the
+        // timeout). The rest keep their diagram until their group opens
+        // a source over it.
+        let mut diagrams: Vec<Option<Csd>> = Vec::with_capacity(batch.len());
+        for ((id, request, submitted), realized) in batch.iter().zip(realized) {
+            let failure = match realized {
+                Err(message) => message,
+                Ok(csd) if extractors.iter().any(|(m, _)| *m == request.method) => {
+                    diagrams.push(Some(csd));
+                    continue;
+                }
+                Ok(_) => format!("method {} not servable", request.method),
+            };
+            diagrams.push(None);
+            self.finish(
+                *id,
+                request,
+                *submitted,
+                FinishedJob {
+                    ok: false,
+                    cache_hit: false,
+                    body: request_failure_body(&failure).into(),
+                },
+                None,
+            );
         }
 
         // Group the rest by method and run each group through the one
@@ -560,10 +552,12 @@ impl Scheduler {
         for (method, extractor) in extractors {
             let mut group: Vec<(usize, Mutex<Option<BoxedSource>>)> = Vec::new();
             for (i, (id, request, submitted)) in batch.iter().enumerate() {
-                if request.method != *method || realized[i].is_err() {
+                if request.method != *method {
                     continue;
                 }
-                let csd = realized[i].as_ref().expect("checked ok").clone();
+                let Some(csd) = diagrams[i].take() else {
+                    continue;
+                };
                 let scenario = SourceScenario::new(csd)
                     .with_label(format!("job{id}"))
                     .with_seed(request.scenario.seed());
@@ -580,7 +574,7 @@ impl Scheduler {
                         FinishedJob {
                             ok: false,
                             cache_hit: false,
-                            body: request_failure_body(&format!("backend open failed: {e}")),
+                            body: request_failure_body(&format!("backend open failed: {e}")).into(),
                         },
                     ),
                 }
@@ -610,22 +604,19 @@ impl Scheduler {
                     .channel_pool()
                     .and_then(|pool| pool.take_session_wait(&format!("job{id}")));
                 let (finished, mut stages) = match outcome.outcome {
-                    Ok(report) => {
-                        let body = result_body(&report);
-                        (
-                            FinishedJob {
-                                ok: true,
-                                cache_hit: false,
-                                body,
-                            },
-                            Some(report.stages),
-                        )
-                    }
+                    Ok(report) => (
+                        FinishedJob {
+                            ok: true,
+                            cache_hit: false,
+                            body: result_body(&report).into(),
+                        },
+                        Some(report.stages),
+                    ),
                     Err(error) => (
                         FinishedJob {
                             ok: false,
                             cache_hit: false,
-                            body: failure_body(&error),
+                            body: failure_body(&error).into(),
                         },
                         None,
                     ),
@@ -733,11 +724,11 @@ impl Scheduler {
         // Extraction and realization failures are cached too: they are
         // as deterministic as results. (Environmental failures go
         // through `finish_uncached` instead.)
-        self.cache.insert(
+        self.cache.insert_shared(
             request.fingerprint,
             &request.canonical,
-            crate::cache::CachedResult {
-                body: finished.body.clone(),
+            SharedResult {
+                body: Arc::clone(&finished.body),
                 ok: finished.ok,
             },
         );
@@ -835,7 +826,7 @@ mod tests {
             FinishedJob {
                 ok: true,
                 cache_hit: false,
-                body: b"{}\n".to_vec(),
+                body: b"{}\n".as_slice().into(),
             },
         );
         let finished = waiter.join().unwrap().expect("woken with outcome");
@@ -888,7 +879,7 @@ mod tests {
             FinishedJob {
                 ok: true,
                 cache_hit: false,
-                body: b"{}\n".to_vec(),
+                body: b"{}\n".as_slice().into(),
             },
         );
         // Already finished: fires inline. Unknown id: fires inline with None.
@@ -919,13 +910,13 @@ mod tests {
         let first = q.insert_finished(FinishedJob {
             ok: true,
             cache_hit: true,
-            body: b"1".to_vec(),
+            body: b"1".as_slice().into(),
         });
         for _ in 0..2 {
             q.insert_finished(FinishedJob {
                 ok: true,
                 cache_hit: true,
-                body: b"x".to_vec(),
+                body: b"x".as_slice().into(),
             });
         }
         assert!(q.status(first).is_none(), "oldest finished job evicted");
@@ -963,10 +954,11 @@ mod tests {
         assert_eq!(metrics.jobs_completed.get(), 3);
         assert_eq!(cache.len(), 3, "every outcome cached");
 
-        // The cache now replays the exact bytes, outcome attached.
+        // The cache now replays the exact bytes, outcome attached, from
+        // the same allocation the job table holds.
         let req = request(100);
-        let cached = cache.get(req.fingerprint, &req.canonical).unwrap();
-        assert_eq!(cached.body, outcomes[0].body);
+        let cached = cache.get_shared(req.fingerprint, &req.canonical).unwrap();
+        assert!(Arc::ptr_eq(&cached.body, &outcomes[0].body));
         assert!(cached.ok);
 
         queue.stop();

@@ -15,7 +15,7 @@
 //! the `202 queued` fallback if the job outlives
 //! [`ServeConfig::wait_timeout`].
 
-use crate::cache::{CacheConfig, CachedResult, ResultCache};
+use crate::cache::{CacheConfig, ResultCache, SharedResult};
 use crate::http::{
     deferred, Handler, HttpConfig, HttpServer, Outcome, Request, Response, ServerStats,
     ShutdownHandle,
@@ -874,7 +874,7 @@ impl ExtractService {
         // Cache front: a hit never touches the queue or the pool, and it
         // replays the stored bytes verbatim (outcome flag travels with
         // the entry — it is never re-derived from the bytes).
-        if let Some(cached) = self.cache.get(job.fingerprint, &job.canonical) {
+        if let Some(cached) = self.cache.get_shared(job.fingerprint, &job.canonical) {
             self.metrics.cache_hits.inc();
             let finished = FinishedJob {
                 ok: cached.ok,
@@ -1093,7 +1093,7 @@ impl ExtractService {
                 }
                 Ok(key) => self
                     .cache
-                    .get(fingerprint, key.trim_end_matches(['\r', '\n'])),
+                    .get_shared(fingerprint, key.trim_end_matches(['\r', '\n'])),
             }
         };
         match cached {
@@ -1153,11 +1153,11 @@ impl ExtractService {
                 "seed \"body\" must be a newline-framed document",
             ));
         }
-        self.cache.insert(
+        self.cache.insert_shared(
             fingerprint,
             key,
-            CachedResult {
-                body: body.as_bytes().to_vec(),
+            SharedResult {
+                body: body.as_bytes().into(),
                 ok,
             },
         );
@@ -1169,7 +1169,7 @@ impl ExtractService {
 
 /// The `200` body + headers of a finished job.
 fn finished_response(id: u64, finished: &FinishedJob, cache: &str) -> Response {
-    Response::json(200, finished.body.clone())
+    Response::json(200, &*finished.body)
         .with_header("x-fastvg-job", id.to_string())
         .with_header("x-fastvg-cache", cache)
         .with_header("x-fastvg-status", finished.status_name())
