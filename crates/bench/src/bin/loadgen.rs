@@ -79,6 +79,7 @@
 use fastvg_obs::{IdGen, Tracer};
 use fastvg_serve::{start, Client, ClientConfig, Histogram, ServeConfig};
 use fastvg_wire::{Json, TraceContext, TRACE_HEADER};
+use qd_numerics::stats;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -274,13 +275,10 @@ impl Sample {
     }
 }
 
-/// Exact percentile over the recorded samples (nearest-rank).
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((q * sorted_ms.len() as f64).ceil() as usize).clamp(1, sorted_ms.len());
-    sorted_ms[rank - 1]
+/// The `p`th percentile of the samples, linearly interpolated (NaN when
+/// there are none).
+fn percentile(ms: &[f64], p: f64) -> f64 {
+    stats::percentile(ms, p).unwrap_or(f64::NAN)
 }
 
 /// The shared connect policy: generous retries so thousands of
@@ -702,9 +700,8 @@ fn fleet_scaling(args: &Args, max_shards: usize) {
 
         let cold_rps = cold.len() as f64 / cold_wall.as_secs_f64().max(1e-9);
         let hot_rps = hot.len() as f64 / hot_wall.as_secs_f64().max(1e-9);
-        let mut hot_ms: Vec<f64> = hot.iter().map(|s| s.latency.as_secs_f64() * 1e3).collect();
-        hot_ms.sort_by(f64::total_cmp);
-        let (p50, p99) = (percentile(&hot_ms, 0.50), percentile(&hot_ms, 0.99));
+        let hot_ms: Vec<f64> = hot.iter().map(|s| s.latency.as_secs_f64() * 1e3).collect();
+        let (p50, p99) = (percentile(&hot_ms, 50.0), percentile(&hot_ms, 99.0));
         println!(
             "fleet {shards} shard(s): cold {cold_rps:.1} req/s, hot {hot_rps:.1} req/s | hot p50 {p50:.2}ms p99 {p99:.2}ms | {hot_hits}/{} hits ({peer_hits} peered)",
             hot.len(),
@@ -945,11 +942,10 @@ fn main() {
             trace.flush();
         }
 
-        let mut latencies_ms: Vec<f64> = samples
+        let latencies_ms: Vec<f64> = samples
             .iter()
             .map(|s| s.latency.as_secs_f64() * 1e3)
             .collect();
-        latencies_ms.sort_by(f64::total_cmp);
         let histogram = Histogram::default();
         for sample in &samples {
             histogram.observe(sample.latency);
@@ -976,9 +972,9 @@ fn main() {
 
         let rps = samples.len() as f64 / wall.as_secs_f64().max(1e-9);
         let (p50, p95, p99) = (
-            percentile(&latencies_ms, 0.50),
-            percentile(&latencies_ms, 0.95),
-            percentile(&latencies_ms, 0.99),
+            percentile(&latencies_ms, 50.0),
+            percentile(&latencies_ms, 95.0),
+            percentile(&latencies_ms, 99.0),
         );
         println!(
             "pass {pass} ({mode}): {} requests in {:.3}s = {rps:.1} req/s | p50 {p50:.1}ms p95 {p95:.1}ms p99 {p99:.1}ms | {hits} cache hits ({peer_hits} peered), {failures} failed",

@@ -40,6 +40,7 @@
 
 use fastvg_obs::Tracer;
 use fastvg_wire::{Json, TraceContext, TRACE_HEADER};
+use qd_numerics::stats;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -238,28 +239,20 @@ fn breakdown(spans: &[SpanRec]) -> Breakdown {
     }
 }
 
-/// Exact nearest-rank percentile.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-fn quantile_doc(values: &mut [f64]) -> Json {
-    values.sort_by(f64::total_cmp);
-    Json::object()
-        .field("p50_us", Json::num(percentile(values, 0.50)))
-        .field("p99_us", Json::num(percentile(values, 0.99)))
-        .build()
+/// The `p`th percentile of `values`, linearly interpolated (0 when there
+/// are none).
+fn percentile(values: &[f64], p: f64) -> f64 {
+    stats::percentile(values, p).unwrap_or(0.0)
 }
 
 /// Aggregates one class (cold or hot) of breakdowns into p50/p99 docs.
 fn class_doc(rows: &[Breakdown]) -> Json {
     let collect = |f: fn(&Breakdown) -> u64| -> Json {
-        let mut values: Vec<f64> = rows.iter().map(|b| f(b) as f64).collect();
-        quantile_doc(&mut values)
+        let values: Vec<f64> = rows.iter().map(|b| f(b) as f64).collect();
+        Json::object()
+            .field("p50_us", Json::num(percentile(&values, 50.0)))
+            .field("p99_us", Json::num(percentile(&values, 99.0)))
+            .build()
     };
     Json::object()
         .field("count", rows.len())
@@ -379,9 +372,8 @@ fn sweep(
 }
 
 fn p99_ms(latencies: &[Duration]) -> f64 {
-    let mut ms: Vec<f64> = latencies.iter().map(|l| l.as_secs_f64() * 1e3).collect();
-    ms.sort_by(f64::total_cmp);
-    percentile(&ms, 0.99)
+    let ms: Vec<f64> = latencies.iter().map(|l| l.as_secs_f64() * 1e3).collect();
+    percentile(&ms, 99.0)
 }
 
 /// Boots a 2-shard router-fronted fleet; `trace_dir` turns on span

@@ -13,7 +13,6 @@
 //! `BORDER_REPLICATE` closely enough for the baseline comparison.
 
 use crate::NumericsError;
-use mini_rayon::ThreadPool;
 
 /// Boundary handling for `same`-size convolutions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -156,46 +155,18 @@ pub fn correlate2(
     kernel: &Kernel2,
     boundary: Boundary,
 ) -> Result<Vec<f64>, NumericsError> {
-    correlate2_with(image, rows, cols, kernel, boundary, &ThreadPool::new(1))
-}
-
-/// [`correlate2`] with output rows chunked across a [`ThreadPool`].
-///
-/// Every output pixel is computed by the same [`correlate_at`] expression
-/// regardless of chunking, so the result is bit-identical to the serial
-/// path for any pool width.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::LengthMismatch`] if `image.len() != rows * cols`.
-pub fn correlate2_with(
-    image: &[f64],
-    rows: usize,
-    cols: usize,
-    kernel: &Kernel2,
-    boundary: Boundary,
-    pool: &ThreadPool,
-) -> Result<Vec<f64>, NumericsError> {
     if image.len() != rows * cols {
         return Err(NumericsError::LengthMismatch {
             left: image.len(),
             right: rows * cols,
         });
     }
-    if cols == 0 {
-        return Ok(Vec::new());
-    }
-    let mut out = vec![0.0; rows * cols];
-    pool.par_chunks_mut(&mut out, cols, |offset, chunk| {
-        let r0 = offset / cols;
-        for (ri, row_out) in chunk.chunks_mut(cols).enumerate() {
-            let r = r0 + ri;
-            for (c, slot) in row_out.iter_mut().enumerate() {
-                *slot = correlate_at(image, rows, cols, kernel, r, c, boundary)
-                    .expect("shape and pixel bounds verified above");
-            }
+    let mut out = Vec::with_capacity(rows * cols);
+    for r in 0..rows {
+        for c in 0..cols {
+            out.push(correlate_at(image, rows, cols, kernel, r, c, boundary)?);
         }
-    });
+    }
     Ok(out)
 }
 
@@ -284,37 +255,6 @@ pub fn separable2(
     col_kernel: &[f64],
     boundary: Boundary,
 ) -> Result<Vec<f64>, NumericsError> {
-    separable2_with(
-        image,
-        rows,
-        cols,
-        row_kernel,
-        col_kernel,
-        boundary,
-        &ThreadPool::new(1),
-    )
-}
-
-/// [`separable2`] with both filter passes row-chunked across a
-/// [`ThreadPool`].
-///
-/// The column pass runs as a row pass over the transposed intermediate so
-/// every worker filters contiguous memory; each 1-D filtering is the same
-/// [`correlate1`] call as the serial path, making the output bit-identical
-/// for any pool width.
-///
-/// # Errors
-///
-/// Propagates errors from [`correlate1`] and shape mismatches.
-pub fn separable2_with(
-    image: &[f64],
-    rows: usize,
-    cols: usize,
-    row_kernel: &[f64],
-    col_kernel: &[f64],
-    boundary: Boundary,
-    pool: &ThreadPool,
-) -> Result<Vec<f64>, NumericsError> {
     if image.len() != rows * cols {
         return Err(NumericsError::LengthMismatch {
             left: image.len(),
@@ -324,48 +264,23 @@ pub fn separable2_with(
     if rows == 0 || cols == 0 {
         return Ok(Vec::new());
     }
-    // Validate kernels once up front so the parallel passes cannot fail.
-    let probe_col = vec![0.0; rows];
-    correlate1(&image[..cols], row_kernel, boundary)?;
-    correlate1(&probe_col, col_kernel, boundary)?;
-
-    // Pass 1: filter every row.
-    let mut tmp = vec![0.0; rows * cols];
-    pool.par_chunks_mut(&mut tmp, cols, |offset, chunk| {
-        let r0 = offset / cols;
-        for (ri, row_out) in chunk.chunks_mut(cols).enumerate() {
-            let r = r0 + ri;
-            let filtered = correlate1(&image[r * cols..(r + 1) * cols], row_kernel, boundary)
-                .expect("row kernel validated above");
-            row_out.copy_from_slice(&filtered);
+    let mut out = Vec::with_capacity(rows * cols);
+    for row in image.chunks_exact(cols) {
+        out.extend(correlate1(row, row_kernel, boundary)?);
+    }
+    let mut column = vec![0.0; rows];
+    for c in 0..cols {
+        for (r, slot) in column.iter_mut().enumerate() {
+            *slot = out[r * cols + c];
         }
-    });
-
-    // Pass 2: filter every column, expressed as a row pass over the
-    // transpose so chunks stay contiguous.
-    let tt = transpose(&tmp, rows, cols);
-    let mut tt_out = vec![0.0; rows * cols];
-    pool.par_chunks_mut(&mut tt_out, rows, |offset, chunk| {
-        let c0 = offset / rows;
-        for (ci, col_out) in chunk.chunks_mut(rows).enumerate() {
-            let c = c0 + ci;
-            let filtered = correlate1(&tt[c * rows..(c + 1) * rows], col_kernel, boundary)
-                .expect("column kernel validated above");
-            col_out.copy_from_slice(&filtered);
-        }
-    });
-    Ok(transpose(&tt_out, cols, rows))
-}
-
-/// Transposes a row-major `(rows, cols)` buffer into `(cols, rows)`.
-fn transpose(data: &[f64], rows: usize, cols: usize) -> Vec<f64> {
-    let mut out = vec![0.0; rows * cols];
-    for r in 0..rows {
-        for c in 0..cols {
-            out[c * rows + r] = data[r * cols + c];
+        for (r, v) in correlate1(&column, col_kernel, boundary)?
+            .into_iter()
+            .enumerate()
+        {
+            out[r * cols + c] = v;
         }
     }
-    out
+    Ok(out)
 }
 
 fn sample(image: &[f64], rows: usize, cols: usize, r: isize, c: isize, boundary: Boundary) -> f64 {
@@ -492,62 +407,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_correlate2_is_bit_identical() {
-        let rows = 37;
-        let cols = 23;
-        let img: Vec<f64> = (0..rows * cols)
-            .map(|x| ((x * 31) % 101) as f64 * 0.13)
-            .collect();
-        let k = Kernel2::new(3, 5, (0..15).map(|x| (x as f64 - 7.0) * 0.21).collect()).unwrap();
-        let serial = correlate2(&img, rows, cols, &k, Boundary::Replicate).unwrap();
-        for workers in [2, 4, 7] {
-            let par = correlate2_with(
-                &img,
-                rows,
-                cols,
-                &k,
-                Boundary::Replicate,
-                &ThreadPool::new(workers),
-            )
-            .unwrap();
-            assert_eq!(
-                serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                par.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_separable2_is_bit_identical() {
-        let rows = 41;
-        let cols = 29;
-        let img: Vec<f64> = (0..rows * cols)
-            .map(|x| ((x * 17) % 89) as f64 * 0.37)
-            .collect();
-        let rk = [0.25, 0.5, 0.25];
-        let ck = [0.1, 0.2, 0.4, 0.2, 0.1];
-        for boundary in [Boundary::Replicate, Boundary::Zero] {
-            let serial = separable2(&img, rows, cols, &rk, &ck, boundary).unwrap();
-            let par =
-                separable2_with(&img, rows, cols, &rk, &ck, boundary, &ThreadPool::new(4)).unwrap();
-            assert_eq!(
-                serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                par.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_variants_reject_bad_shapes() {
-        let pool = ThreadPool::new(4);
+    fn bad_shapes_are_rejected() {
         let k = identity3();
-        assert!(correlate2_with(&[0.0; 5], 2, 3, &k, Boundary::Zero, &pool).is_err());
-        assert!(separable2_with(&[0.0; 5], 2, 3, &[1.0], &[1.0], Boundary::Zero, &pool).is_err());
-        // Even kernels are rejected before any parallel work starts.
-        assert!(
-            separable2_with(&[0.0; 6], 2, 3, &[1.0, 1.0], &[1.0], Boundary::Zero, &pool).is_err()
-        );
+        assert!(correlate2(&[0.0; 5], 2, 3, &k, Boundary::Zero).is_err());
+        assert!(separable2(&[0.0; 5], 2, 3, &[1.0], &[1.0], Boundary::Zero).is_err());
+        assert!(separable2(&[0.0; 6], 2, 3, &[1.0, 1.0], &[1.0], Boundary::Zero).is_err());
+        assert!(separable2(&[0.0; 6], 2, 3, &[1.0], &[1.0, 1.0], Boundary::Zero).is_err());
     }
 
     #[test]

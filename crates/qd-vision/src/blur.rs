@@ -1,9 +1,8 @@
 //! Separable Gaussian blur for CSD images.
 
 use crate::VisionError;
-use mini_rayon::ThreadPool;
 use qd_csd::Csd;
-use qd_numerics::conv::{separable2_with, Boundary};
+use qd_numerics::conv::{separable2, Boundary};
 use qd_numerics::gaussian::kernel1;
 
 /// Applies an odd `ksize × ksize` Gaussian blur with standard deviation
@@ -31,28 +30,12 @@ use qd_numerics::gaussian::kernel1;
 /// # }
 /// ```
 pub fn gaussian_blur(csd: &Csd, ksize: usize, sigma: f64) -> Result<Csd, VisionError> {
-    gaussian_blur_with(csd, ksize, sigma, &ThreadPool::new(1))
-}
-
-/// [`gaussian_blur`] with both separable passes row-chunked across a
-/// [`ThreadPool`]. Output is bit-identical to the serial path for any
-/// pool width (see [`separable2_with`]).
-///
-/// # Errors
-///
-/// Same as [`gaussian_blur`].
-pub fn gaussian_blur_with(
-    csd: &Csd,
-    ksize: usize,
-    sigma: f64,
-    pool: &ThreadPool,
-) -> Result<Csd, VisionError> {
     let k = kernel1(ksize, sigma).map_err(|_| VisionError::InvalidParameter {
         name: "ksize/sigma",
         constraint: "kernel size must be odd, sigma positive",
     })?;
     let (w, h) = csd.size();
-    let blurred = separable2_with(csd.data(), h, w, &k, &k, Boundary::Replicate, pool)
+    let blurred = separable2(csd.data(), h, w, &k, &k, Boundary::Replicate)
         .expect("image shape matches grid by construction");
     Csd::from_data(*csd.grid(), blurred).map_err(|_| VisionError::InvalidParameter {
         name: "csd",
@@ -105,23 +88,6 @@ mod tests {
         let c = Csd::constant(grid(8, 8), 0.0).unwrap();
         assert!(gaussian_blur(&c, 4, 1.0).is_err());
         assert!(gaussian_blur(&c, 5, 0.0).is_err());
-    }
-
-    #[test]
-    fn parallel_blur_is_bit_identical() {
-        let c = Csd::from_fn(grid(33, 27), |v1, v2| (v1 * 7.3 + v2 * 2.1).sin()).unwrap();
-        let serial = gaussian_blur(&c, 5, 1.2).unwrap();
-        for workers in [2, 4] {
-            let par = gaussian_blur_with(&c, 5, 1.2, &ThreadPool::new(workers)).unwrap();
-            assert!(
-                serial
-                    .data()
-                    .iter()
-                    .zip(par.data())
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "workers={workers}: parallel blur diverged"
-            );
-        }
     }
 
     #[test]

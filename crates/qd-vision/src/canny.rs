@@ -1,10 +1,9 @@
 //! Canny edge detection: blur → Sobel → non-maximum suppression →
 //! double-threshold hysteresis.
 
-use crate::blur::gaussian_blur_with;
-use crate::sobel::sobel_with;
+use crate::blur::gaussian_blur;
+use crate::sobel::sobel;
 use crate::VisionError;
-use mini_rayon::ThreadPool;
 use qd_csd::{Csd, Pixel};
 
 /// Parameters for [`canny`].
@@ -92,24 +91,6 @@ impl EdgeMap {
 ///   thresholds outside `0 < low ≤ high ≤ 1`.
 /// * [`VisionError::ImageTooSmall`] for images smaller than 3×3.
 pub fn canny(csd: &Csd, params: CannyParams) -> Result<EdgeMap, VisionError> {
-    canny_with(csd, params, &ThreadPool::new(1))
-}
-
-/// [`canny`] with the blur, Sobel and non-maximum-suppression stages
-/// row-chunked across a [`ThreadPool`].
-///
-/// Every stage computes each pixel from read-only inputs, so the edge map
-/// is bit-identical to the serial path for any pool width; only the
-/// hysteresis flood fill (a cheap set expansion) stays serial.
-///
-/// # Errors
-///
-/// Same as [`canny`].
-pub fn canny_with(
-    csd: &Csd,
-    params: CannyParams,
-    pool: &ThreadPool,
-) -> Result<EdgeMap, VisionError> {
     if !(params.low_fraction > 0.0
         && params.low_fraction <= params.high_fraction
         && params.high_fraction <= 1.0)
@@ -127,8 +108,8 @@ pub fn canny_with(
             });
         }
     }
-    let blurred = gaussian_blur_with(csd, params.blur_ksize, params.blur_sigma, pool)?;
-    let grad = sobel_with(&blurred, pool)?;
+    let blurred = gaussian_blur(csd, params.blur_ksize, params.blur_sigma)?;
+    let grad = sobel(&blurred)?;
     let (w, h) = (grad.width(), grad.height());
     let max_mag = grad.max_magnitude();
     if max_mag == 0.0 {
@@ -149,45 +130,39 @@ pub fn canny_with(
     };
 
     // Non-maximum suppression: quantize direction to 4 sectors and keep
-    // pixels that dominate both neighbours along the gradient. Each output
-    // pixel reads only the shared gradient field, so rows chunk freely.
+    // pixels that dominate both neighbours along the gradient.
     let mut nms = vec![0.0; w * h];
-    pool.par_chunks_mut(&mut nms, w, |offset, chunk| {
-        let y0 = offset / w;
-        for (yi, row) in chunk.chunks_mut(w).enumerate() {
-            let y = y0 + yi;
-            for (x, slot) in row.iter_mut().enumerate() {
-                let m = grad.magnitude(x, y);
-                if m == 0.0 {
-                    continue;
-                }
-                let theta = grad.direction(x, y);
-                // Sector in [0, 180): 0 = horizontal gradient (vertical edge).
-                let deg = theta.to_degrees().rem_euclid(180.0);
-                let (dx, dy): (isize, isize) = if !(22.5..157.5).contains(&deg) {
-                    (1, 0)
-                } else if deg < 67.5 {
-                    (1, 1)
-                } else if deg < 112.5 {
-                    (0, 1)
-                } else {
-                    (-1, 1)
-                };
-                let sample = |xx: isize, yy: isize| -> f64 {
-                    if xx < 0 || yy < 0 || xx >= w as isize || yy >= h as isize {
-                        0.0
-                    } else {
-                        grad.magnitude(xx as usize, yy as usize)
-                    }
-                };
-                let fwd = sample(x as isize + dx, y as isize + dy);
-                let back = sample(x as isize - dx, y as isize - dy);
-                if m >= fwd && m >= back {
-                    *slot = m;
-                }
-            }
+    for (i, slot) in nms.iter_mut().enumerate() {
+        let (x, y) = (i % w, i / w);
+        let m = grad.magnitude(x, y);
+        if m == 0.0 {
+            continue;
         }
-    });
+        let theta = grad.direction(x, y);
+        // Sector in [0, 180): 0 = horizontal gradient (vertical edge).
+        let deg = theta.to_degrees().rem_euclid(180.0);
+        let (dx, dy): (isize, isize) = if !(22.5..157.5).contains(&deg) {
+            (1, 0)
+        } else if deg < 67.5 {
+            (1, 1)
+        } else if deg < 112.5 {
+            (0, 1)
+        } else {
+            (-1, 1)
+        };
+        let sample = |xx: isize, yy: isize| -> f64 {
+            if xx < 0 || yy < 0 || xx >= w as isize || yy >= h as isize {
+                0.0
+            } else {
+                grad.magnitude(xx as usize, yy as usize)
+            }
+        };
+        let fwd = sample(x as isize + dx, y as isize + dy);
+        let back = sample(x as isize - dx, y as isize - dy);
+        if m >= fwd && m >= back {
+            *slot = m;
+        }
+    }
 
     // Hysteresis: strong pixels seed a flood fill through weak pixels.
     const UNVISITED: u8 = 0;
@@ -271,26 +246,6 @@ mod tests {
         // Edge should span most rows.
         let rows: std::collections::HashSet<usize> = e.edge_pixels().iter().map(|p| p.y).collect();
         assert!(rows.len() >= 28, "edge spans only {} rows", rows.len());
-    }
-
-    #[test]
-    fn parallel_canny_is_bit_identical() {
-        let c = Csd::from_fn(grid(48, 48), |v1, v2| {
-            let mut i = 6.0 - 0.01 * (v1 + v2);
-            if v2 > -3.0 * (v1 - 30.0) {
-                i -= 1.0;
-            }
-            if v2 > 28.0 - 0.3 * v1 {
-                i -= 0.8;
-            }
-            i
-        })
-        .unwrap();
-        let serial = canny(&c, CannyParams::default()).unwrap();
-        for workers in [2, 4] {
-            let par = canny_with(&c, CannyParams::default(), &ThreadPool::new(workers)).unwrap();
-            assert_eq!(serial, par, "workers={workers}: parallel Canny diverged");
-        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Sobel gradient estimation.
 
 use crate::VisionError;
-use mini_rayon::ThreadPool;
 use qd_csd::Csd;
-use qd_numerics::conv::{correlate2_with, Boundary, Kernel2};
+use qd_numerics::conv::{correlate2, Boundary, Kernel2};
 
 /// Dense gradient field of an image: per-pixel x/y derivatives, magnitude
 /// and direction.
@@ -86,17 +85,6 @@ impl GradientField {
 ///
 /// Returns [`VisionError::ImageTooSmall`] for images smaller than 3×3.
 pub fn sobel(csd: &Csd) -> Result<GradientField, VisionError> {
-    sobel_with(csd, &ThreadPool::new(1))
-}
-
-/// [`sobel`] with both gradient correlations row-chunked across a
-/// [`ThreadPool`]. Output is bit-identical to the serial path for any
-/// pool width (see [`correlate2_with`]).
-///
-/// # Errors
-///
-/// Same as [`sobel`].
-pub fn sobel_with(csd: &Csd, pool: &ThreadPool) -> Result<GradientField, VisionError> {
     let (w, h) = csd.size();
     if w < 3 || h < 3 {
         return Err(VisionError::ImageTooSmall {
@@ -108,10 +96,8 @@ pub fn sobel_with(csd: &Csd, pool: &ThreadPool) -> Result<GradientField, VisionE
         .expect("static kernel is valid");
     let ky = Kernel2::new(3, 3, vec![-1.0, -2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 1.0])
         .expect("static kernel is valid");
-    let gx = correlate2_with(csd.data(), h, w, &kx, Boundary::Replicate, pool)
-        .expect("shape verified above");
-    let gy = correlate2_with(csd.data(), h, w, &ky, Boundary::Replicate, pool)
-        .expect("shape verified above");
+    let gx = correlate2(csd.data(), h, w, &kx, Boundary::Replicate).expect("shape verified above");
+    let gy = correlate2(csd.data(), h, w, &ky, Boundary::Replicate).expect("shape verified above");
     let magnitude = gx
         .iter()
         .zip(&gy)
@@ -180,14 +166,6 @@ mod tests {
         let g = sobel(&c).unwrap();
         assert_eq!(g.max_magnitude(), 0.0);
         assert_eq!(g.magnitudes().len(), 49);
-    }
-
-    #[test]
-    fn parallel_sobel_is_bit_identical() {
-        let c = Csd::from_fn(grid(29, 31), |v1, v2| (v1 * 0.4 - v2 * 1.7).cos()).unwrap();
-        let serial = sobel(&c).unwrap();
-        let par = sobel_with(&c, &ThreadPool::new(4)).unwrap();
-        assert_eq!(serial, par, "parallel Sobel diverged from serial");
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::RouterConfig;
 use fastvg_obs::{ActiveSpan, SpanId, TraceId, Tracer};
 use fastvg_serve::http::{deferred, Completer, Handler, Outcome, Request, Response, ServerStats};
 use fastvg_serve::metrics::{family, render_build_info, Counter, Gauge, Histogram};
+use fastvg_serve::queue::reserved_failure_body;
 use fastvg_serve::{Client, ClientConfig, ClientResponse, ExtractParser, RequestError};
 use fastvg_wire::{Json, TraceContext, TRACE_HEADER};
 use std::collections::VecDeque;
@@ -296,23 +297,10 @@ fn decode_job(gid: u64) -> (u64, usize) {
     (gid >> 8, (gid & 0xff) as usize)
 }
 
-/// The daemon's error-document shape, reproduced so router-origin
-/// errors are indistinguishable from daemon-origin ones on the wire.
+/// The daemon's own error document, so router-origin errors are
+/// indistinguishable from daemon-origin ones on the wire.
 fn error_doc(status: u16, message: &str) -> Response {
-    let mut body = Json::object()
-        .field("ok", false)
-        .field(
-            "error",
-            Json::object()
-                .field("category", "request")
-                .field("message", message)
-                .field("chain", Vec::<Json>::new())
-                .build(),
-        )
-        .build()
-        .dump();
-    body.push('\n');
-    Response::json(status, body)
+    Response::json(status, reserved_failure_body("request", message))
 }
 
 impl RouterService {

@@ -79,7 +79,6 @@ fn main() {
                     Duration::from_secs(parse_flag(&mut args, "--drain-deadline-s"))
             }
             "--queue-capacity" => config.queue_capacity = parse_flag(&mut args, "--queue-capacity"),
-            "--batch-max" => config.batch_max = parse_flag(&mut args, "--batch-max"),
             "--cache-capacity" => cache.capacity = parse_flag(&mut args, "--cache-capacity"),
             "--cache-shards" => cache.shards = parse_flag(&mut args, "--cache-shards"),
             "--max-body-bytes" => config.max_body_bytes = parse_flag(&mut args, "--max-body-bytes"),

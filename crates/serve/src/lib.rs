@@ -3,8 +3,8 @@
 //! The paper makes single-device virtual-gate extraction fast; the
 //! ROADMAP's north star is a system that *serves* that extraction at
 //! fleet scale. This crate is the missing layer between the two: a
-//! long-running daemon that accepts extraction jobs over HTTP, schedules
-//! them onto the same worker pool and object-safe
+//! long-running daemon that accepts extraction jobs over HTTP, runs each
+//! on one of its long-lived workers through the same object-safe
 //! [`fastvg_core::api::Extractor`] path the offline harnesses use,
 //! caches results by content, and exposes live telemetry.
 //!
@@ -14,7 +14,7 @@
 //! | module | role |
 //! |---|---|
 //! | [`http`] | hand-rolled HTTP/1.1 on an epoll reactor: nonblocking accept, keep-alive, request limits, graceful drain |
-//! | [`queue`] | bounded job queue + batch scheduler over the mini-rayon pool |
+//! | [`queue`] | bounded job queue + long-lived workers, one job per worker at a time |
 //! | [`cache`] | sharded LRU result cache keyed by canonical-request fingerprints |
 //! | [`metrics`] | counters + latency histograms behind `GET /metrics` |
 //! | [`service`] | the routes, request validation, and daemon lifecycle |

@@ -47,6 +47,16 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
+    /// Adds one.
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Subtracts one.
+    pub fn dec(&self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -263,8 +273,10 @@ pub struct Metrics {
     pub queue_rejected: Counter,
     /// Jobs currently waiting in the queue.
     pub queue_depth: Gauge,
-    /// Jobs currently running on the pool.
+    /// Workers currently running a job.
     pub jobs_running: Gauge,
+    /// Jobs that panicked, each finished with category `internal`.
+    pub job_panics: Counter,
     /// Results served from the cache.
     pub cache_hits: Counter,
     /// Submissions that missed the cache.
@@ -402,11 +414,21 @@ impl Metrics {
             &mut out,
             "fastvg_jobs_running",
             "gauge",
-            "Jobs currently running on the extraction pool.",
+            "Extraction workers currently running a job.",
         );
         out.push_str(&format!(
             "fastvg_jobs_running {}\n",
             self.jobs_running.get()
+        ));
+        family(
+            &mut out,
+            "fastvg_job_panics_total",
+            "counter",
+            "Jobs that panicked and finished with category internal.",
+        );
+        out.push_str(&format!(
+            "fastvg_job_panics_total {}\n",
+            self.job_panics.get()
         ));
         family(
             &mut out,
@@ -506,6 +528,7 @@ mod tests {
             "fastvg_cache_peer_requests_total{outcome=\"peer_miss\"} 0",
             "fastvg_cache_seeds_total 1",
             "fastvg_queue_depth 0",
+            "fastvg_job_panics_total 0",
             "fastvg_request_latency_seconds_bucket",
             "fastvg_request_latency_seconds_count 1",
             "fastvg_stage_latency_seconds_bucket{stage=\"anchors\",le=",

@@ -1,25 +1,31 @@
-//! The bounded job queue, job table, and batch scheduler.
+//! The bounded job queue, job table, and per-job workers.
 //!
 //! `POST /extract` submissions land here as validated [`JobRequest`]s.
-//! One scheduler thread drains the queue in arrival order, *realizes*
-//! each scenario into a diagram and fans the extractions out over the
-//! vendored mini-rayon pool through the same
-//! [`fastvg_core::batch::BatchExtractor`]`/&dyn `[`Extractor`] path
-//! every offline harness uses — the daemon adds scheduling and caching,
-//! never a second extraction code path.
+//! The [`Scheduler`] runs `jobs` long-lived workers. Each takes the
+//! oldest pending job ([`JobQueue::take`]), *realizes* its scenario into
+//! a diagram, opens a session through the request's backend and runs the
+//! same erased [`Extractor`] path every offline harness uses — the
+//! daemon adds scheduling and caching, never a second extraction code
+//! path. Jobs never wait for each other: a small job that starts after
+//! a big one can finish first, and a job that arrives while a worker is
+//! idle starts at once.
+//!
+//! A job that panics finishes as an uncached `ok:false` document with
+//! the reserved category `internal`, counted by
+//! `fastvg_job_panics_total`; its worker keeps serving.
 //!
 //! # Determinism
 //!
 //! Scenario specs carry their own seeds ([`qd_dataset::BenchmarkSpec`]),
 //! generation derives per-job RNGs from them, and replay sessions are
 //! pure, so resubmitting a request reproduces the same slopes, α
-//! coefficients and probe counts bit-for-bit regardless of batch
-//! composition or worker count — only wall-clock fields vary. That is
-//! what makes result caching sound.
+//! coefficients and probe counts bit-for-bit regardless of arrival order
+//! or worker count — only wall-clock fields vary. That is what makes
+//! result caching sound.
 
 use crate::cache::{ResultCache, SharedResult};
 use crate::metrics::Metrics;
-use fastvg_core::api::{extract_with, ExtractionReport, Extractor};
+use fastvg_core::api::{extract_with, ExtractionReport, Extractor, Stage, StageTiming};
 use fastvg_core::baseline::HoughBaseline;
 use fastvg_core::extraction::FastExtractor;
 use fastvg_core::report::Method;
@@ -27,11 +33,12 @@ use fastvg_core::tuning::TuningLoop;
 use fastvg_core::ExtractError;
 use fastvg_obs::{SpanId, TraceId, Tracer};
 use fastvg_wire::{Json, TraceContext};
-use mini_rayon::ThreadPool;
 use qd_csd::Csd;
 use qd_dataset::BenchmarkSpec;
-use qd_instrument::{BoxedSource, MeasurementSession, SourceBackend, SourceScenario};
+use qd_instrument::{SourceBackend, SourceScenario};
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -47,7 +54,7 @@ pub enum Scenario {
 
 impl Scenario {
     /// Produces the diagram to probe. Spec generation is deterministic
-    /// in the spec's seed, so realization commutes with batching.
+    /// in the spec's seed, so it does not matter which worker runs it.
     fn realize(&self) -> Result<Csd, String> {
         match self {
             Scenario::Spec(spec) => qd_dataset::generate(spec)
@@ -121,7 +128,7 @@ impl FinishedJob {
 pub enum JobState {
     /// Waiting in the queue.
     Queued,
-    /// Being extracted by a batch worker.
+    /// Being run by a worker.
     Running,
     /// Finished (result or failure).
     Finished(FinishedJob),
@@ -140,7 +147,7 @@ impl JobState {
 
 struct JobEntry {
     state: JobState,
-    /// Taken by the scheduler when the job starts running. Boxed so the
+    /// Taken by the worker that runs the job. Boxed so the
     /// thousands of finished entries the table remembers stay small.
     request: Option<Box<JobRequest>>,
     submitted: Instant,
@@ -301,23 +308,17 @@ impl JobQueue {
         }
     }
 
-    /// Takes up to `max` pending jobs (blocking while the queue is empty)
-    /// and marks them running. Returns `None` once the queue is stopping
-    /// and drained — the scheduler's exit condition.
-    pub fn take_batch(&self, max: usize) -> Option<Vec<(u64, JobRequest, Instant)>> {
+    /// Takes the oldest pending job (blocking while the queue is empty)
+    /// and marks it running. Returns `None` once the queue is stopping
+    /// and drained — a worker's exit condition.
+    pub fn take(&self) -> Option<(u64, JobRequest, Instant)> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
-            if !inner.pending.is_empty() {
-                let take = inner.pending.len().min(max.max(1));
-                let mut batch = Vec::with_capacity(take);
-                for _ in 0..take {
-                    let id = inner.pending.pop_front().expect("checked non-empty");
-                    let entry = inner.jobs.get_mut(&id).expect("pending job in table");
-                    entry.state = JobState::Running;
-                    let request = entry.request.take().expect("queued job has request");
-                    batch.push((id, *request, entry.submitted));
-                }
-                return Some(batch);
+            if let Some(id) = inner.pending.pop_front() {
+                let entry = inner.jobs.get_mut(&id).expect("pending job in table");
+                entry.state = JobState::Running;
+                let request = entry.request.take().expect("queued job has request");
+                return Some((id, *request, entry.submitted));
             }
             if inner.stopping {
                 return None;
@@ -354,7 +355,7 @@ impl JobQueue {
     ///
     /// * immediately on this thread if the job already finished (or is
     ///   unknown / the queue is stopping — then with `None`);
-    /// * on the scheduler thread from [`JobQueue::finish`];
+    /// * on the finishing worker thread from [`JobQueue::finish`];
     /// * on the stopping thread from [`JobQueue::stop`], with `None`.
     pub fn on_finished(&self, id: u64, callback: FinishedCallback) {
         let mut inner = self.inner.lock().expect("queue poisoned");
@@ -378,12 +379,12 @@ impl JobQueue {
         }
     }
 
-    /// Pending jobs waiting for the scheduler.
+    /// Pending jobs waiting for a worker.
     pub fn depth(&self) -> usize {
         self.inner.lock().expect("queue poisoned").pending.len()
     }
 
-    /// Starts the shutdown: wakes the scheduler and every waiter, and
+    /// Starts the shutdown: wakes every worker and waiter, and
     /// fires outstanding [`JobQueue::on_finished`] subscriptions with
     /// `None` so parked connections fall back instead of hanging out the
     /// full wait timeout.
@@ -424,15 +425,18 @@ pub fn failure_body(error: &ExtractError) -> Vec<u8> {
     body.into_bytes()
 }
 
-/// Serializes a protocol-level failure (scenario realization, queue
-/// administration) with the out-of-taxonomy category `"request"`.
-pub fn request_failure_body(message: &str) -> Vec<u8> {
+/// Serializes a failure outside the extraction taxonomy into the
+/// newline-framed result document, with an empty chain. The daemon uses
+/// two reserved categories: `"request"` for protocol-level failures
+/// (invalid request, scenario realization, backend open, queue
+/// administration) and `"internal"` for a job that panicked.
+pub fn reserved_failure_body(category: &str, message: &str) -> Vec<u8> {
     let mut body = Json::object()
         .field("ok", false)
         .field(
             "error",
             Json::object()
-                .field("category", "request")
+                .field("category", category)
                 .field("message", message)
                 .field("chain", Vec::<Json>::new())
                 .build(),
@@ -443,27 +447,25 @@ pub fn request_failure_body(message: &str) -> Vec<u8> {
     body.into_bytes()
 }
 
-/// The scheduler: drains the queue, realizes scenarios, and fans each
-/// batch onto the worker pool through the erased [`Extractor`] path.
+/// The scheduler: `jobs` long-lived workers, each taking one job at a
+/// time from the queue and running it through the erased [`Extractor`]
+/// path.
 pub struct Scheduler {
     queue: Arc<JobQueue>,
     cache: Arc<ResultCache>,
     metrics: Arc<Metrics>,
     jobs: usize,
-    batch_max: usize,
     tracer: Option<Arc<Tracer>>,
 }
 
 impl Scheduler {
-    /// A scheduler over the shared queue/cache/metrics, running up to
-    /// `jobs` concurrent extractions (`0` = one per core) and draining
-    /// at most `batch_max` submissions per wakeup.
+    /// A scheduler over the shared queue/cache/metrics, running `jobs`
+    /// workers (`0` = one per core).
     pub fn new(
         queue: Arc<JobQueue>,
         cache: Arc<ResultCache>,
         metrics: Arc<Metrics>,
         jobs: usize,
-        batch_max: usize,
     ) -> Self {
         Self {
             queue,
@@ -474,7 +476,6 @@ impl Scheduler {
             } else {
                 jobs
             },
-            batch_max: batch_max.max(1),
             tracer: None,
         }
     }
@@ -488,206 +489,92 @@ impl Scheduler {
         self
     }
 
-    /// Runs until [`JobQueue::stop`] — the scheduler thread's body.
+    /// Runs until [`JobQueue::stop`] and the queue drains — the scheduler
+    /// thread's body. The calling thread is worker 0; `jobs − 1` more run
+    /// beside it.
     pub fn run(self) {
-        // One extractor per method, built once and driven erased — the
-        // scheduler never branches on what it is running.
-        let extractors: Vec<(Method, Box<dyn Extractor>)> = vec![
-            (Method::FastExtraction, Box::new(FastExtractor::new())),
-            (Method::HoughBaseline, Box::new(HoughBaseline::new())),
-            (Method::TunedFast, Box::new(TuningLoop::new())),
-        ];
-        while let Some(batch) = self.queue.take_batch(self.batch_max) {
-            self.metrics.queue_depth.set(self.queue.depth() as u64);
-            self.metrics.jobs_running.set(batch.len() as u64);
-            self.run_batch(&batch, &extractors);
-            self.metrics.jobs_running.set(0);
-            self.metrics.queue_depth.set(self.queue.depth() as u64);
-        }
+        std::thread::scope(|scope| {
+            for _ in 1..self.jobs {
+                scope.spawn(|| self.work());
+            }
+            self.work();
+        });
     }
 
-    fn run_batch(
-        &self,
-        batch: &[(u64, JobRequest, Instant)],
-        extractors: &[(Method, Box<dyn Extractor>)],
-    ) {
-        let pool = ThreadPool::new(self.jobs);
-        let realized: Vec<Result<Csd, String>> =
-            pool.par_map(batch, |_, (_, request, _)| request.scenario.realize());
-
-        // Scenarios that failed to realize finish immediately, and so does
-        // a method with no registered extractor (defensive: `Method` is
-        // non-exhaustive, and a hung job would pin its waiter until the
-        // timeout). The rest keep their diagram until their group opens
-        // a source over it.
-        let mut diagrams: Vec<Option<Csd>> = Vec::with_capacity(batch.len());
-        for ((id, request, submitted), realized) in batch.iter().zip(realized) {
-            let failure = match realized {
-                Err(message) => message,
-                Ok(csd) if extractors.iter().any(|(m, _)| *m == request.method) => {
-                    diagrams.push(Some(csd));
-                    continue;
-                }
-                Ok(_) => format!("method {} not servable", request.method),
-            };
-            diagrams.push(None);
-            self.finish(
-                *id,
-                request,
-                *submitted,
-                FinishedJob {
-                    ok: false,
-                    cache_hit: false,
-                    body: request_failure_body(&failure).into(),
-                },
-                None,
-            );
-        }
-
-        // Group the rest by method and run each group through the one
-        // erased batch path. Sources are opened through each job's
-        // backend *before* the fan-out, so an open failure (unreadable
-        // tape, unwritable path) finishes its job cleanly instead of
-        // panicking a worker.
-        for (method, extractor) in extractors {
-            let mut group: Vec<(usize, Mutex<Option<BoxedSource>>)> = Vec::new();
-            for (i, (id, request, submitted)) in batch.iter().enumerate() {
-                if request.method != *method {
-                    continue;
-                }
-                let Some(csd) = diagrams[i].take() else {
-                    continue;
-                };
-                let scenario = SourceScenario::new(csd)
-                    .with_label(format!("job{id}"))
-                    .with_seed(request.scenario.seed());
-                match request.backend.open(scenario) {
-                    Ok(source) => group.push((i, Mutex::new(Some(source)))),
-                    // Open failures are environmental (a tape missing
-                    // *right now*, a directory briefly unwritable), not
-                    // deterministic properties of the request — finish
-                    // the job but keep the failure out of the result
-                    // cache so a fixed environment serves fresh runs.
-                    Err(e) => self.finish_uncached(
-                        *id,
-                        *submitted,
-                        FinishedJob {
-                            ok: false,
-                            cache_hit: false,
-                            body: request_failure_body(&format!("backend open failed: {e}")).into(),
-                        },
-                    ),
-                }
-            }
-            if group.is_empty() {
-                continue;
-            }
-            let outcomes = fastvg_core::batch::BatchExtractor::new()
-                .with_jobs(self.jobs)
-                .run(extractor.as_ref(), group.len(), |k| {
-                    let source = group[k]
-                        .1
-                        .lock()
-                        .expect("source slot poisoned")
-                        .take()
-                        .expect("each job's source is taken exactly once");
-                    MeasurementSession::new(source)
+    /// One worker: take a job, run it, finish it, until the queue stops.
+    fn work(&self) {
+        while let Some((id, request, submitted)) = self.queue.take() {
+            let picked = Instant::now();
+            self.metrics.queue_depth.set(self.queue.depth() as u64);
+            self.metrics.jobs_running.inc();
+            let label = format!("job{id}");
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| run_job(&request, &label)))
+                .unwrap_or_else(|payload| {
+                    self.metrics.job_panics.inc();
+                    let message = format!("job panicked: {}", panic_message(&*payload));
+                    JobOutcome::failed("internal", message, false)
                 });
-            for (k, outcome) in outcomes.into_iter().enumerate() {
-                let (id, request, submitted) = &batch[group[k].0];
-                let wall = outcome.wall;
-                // Drain the job's shared-channel stall summary (if its
-                // backend multiplexes) whether it succeeded or not, so
-                // the pool's finished-session ledger stays tidy.
-                let channel_wait = request
-                    .backend
-                    .channel_pool()
-                    .and_then(|pool| pool.take_session_wait(&format!("job{id}")));
-                let (finished, mut stages) = match outcome.outcome {
-                    Ok(report) => (
-                        FinishedJob {
-                            ok: true,
-                            cache_hit: false,
-                            body: result_body(&report).into(),
-                        },
-                        Some(report.stages),
-                    ),
-                    Err(error) => (
-                        FinishedJob {
-                            ok: false,
-                            cache_hit: false,
-                            body: failure_body(&error).into(),
-                        },
-                        None,
-                    ),
-                };
-                // Appended *after* `result_body(&report)` serialized the
-                // response: the synthetic stage feeds metrics histograms
-                // and trace waterfalls only — cached and wire bytes stay
-                // bit-identical to an unmultiplexed run.
-                if let (Some(stages), Some(wait)) = (stages.as_mut(), channel_wait) {
-                    stages.push(fastvg_core::api::StageTiming {
-                        stage: fastvg_core::api::Stage::ChannelWait,
-                        probes: wait.stalled as usize,
-                        elapsed: wait.wait,
-                    });
-                }
-                self.trace_job(request, *submitted, wall, stages.as_deref());
-                self.finish(*id, request, *submitted, finished, stages.as_deref());
+            self.trace_job(&request, submitted, picked, &ran);
+            if ran.cacheable {
+                self.finish(id, &request, submitted, ran.finished, ran.stages.as_deref());
+            } else {
+                self.finish_uncached(id, submitted, ran.finished);
             }
+            self.metrics.jobs_running.dec();
         }
     }
 
     /// Mints the scheduler-side spans for one finished traced job:
-    /// `queue_wait` (submit → extraction start) and `extract` (the
-    /// job's in-pipeline wall time), plus one child span per extraction
-    /// stage laid out sequentially inside `extract`. Stage spans are
-    /// re-exported from the Observer-derived [`StageTiming`]s each
-    /// report carries — the pipeline itself is not re-instrumented.
-    /// Spans are backdated from wall-clock "now": the job just finished,
-    /// so `extract` ended now and started `wall` ago, and `queue_wait`
-    /// covers the remainder back to the submit instant.
+    /// `queue_wait` (submit → worker pickup) and, when extraction ran,
+    /// `extract` (the extractor's wall time) plus one child span per
+    /// extraction stage laid out sequentially inside it. Realization and
+    /// backend open fill the gap between the two. Stage spans are
+    /// re-exported from the Observer-derived [`StageTiming`]s each report
+    /// carries — the pipeline itself is not re-instrumented. Spans are
+    /// backdated from wall-clock "now" to the submit instant.
     fn trace_job(
         &self,
         request: &JobRequest,
         submitted: Instant,
-        wall: Duration,
-        stages: Option<&[fastvg_core::api::StageTiming]>,
+        picked: Instant,
+        ran: &JobOutcome,
     ) {
         let (Some(tracer), Some(ctx)) = (self.tracer.as_ref(), request.trace) else {
             return;
         };
         let trace = TraceId(ctx.trace);
         let parent = Some(SpanId(ctx.span));
-        let now_us = fastvg_obs::unix_us();
-        let total_us = submitted.elapsed().as_micros() as u64;
-        let wall_us = (wall.as_micros() as u64).min(total_us);
-        let submit_us = now_us.saturating_sub(total_us);
-        let extract_start_us = now_us.saturating_sub(wall_us);
+        let since_submit = |at: Instant| at.duration_since(submitted).as_micros() as u64;
+        let submit_us =
+            fastvg_obs::unix_us().saturating_sub(submitted.elapsed().as_micros() as u64);
         tracer.emit(
             trace,
             parent,
             "queue_wait",
             submit_us,
-            total_us - wall_us,
+            since_submit(picked),
             Vec::new(),
         );
+        let Some((started, wall)) = ran.extract else {
+            return;
+        };
+        let extract_start_us = submit_us + since_submit(started);
         let extract = tracer.emit(
             trace,
             parent,
             "extract",
             extract_start_us,
-            wall_us,
+            wall.as_micros() as u64,
             vec![("method", request.method.wire_name().to_string())],
         );
         let mut cursor = extract_start_us;
-        for timing in stages.unwrap_or(&[]) {
+        for timing in ran.stages.as_deref().unwrap_or(&[]) {
             let dur = timing.elapsed.as_micros() as u64;
             // Channel-wait is virtual time overlapping the real stages
             // (the session stalls *inside* its sweeps), so its span is
             // an overlay child at the extract start, not a slice of the
             // sequential stage tiling.
-            if timing.stage == fastvg_core::api::Stage::ChannelWait {
+            if timing.stage == Stage::ChannelWait {
                 tracer.emit(
                     trace,
                     Some(extract),
@@ -716,7 +603,7 @@ impl Scheduler {
         request: &JobRequest,
         submitted: Instant,
         finished: FinishedJob,
-        stages: Option<&[fastvg_core::api::StageTiming]>,
+        stages: Option<&[StageTiming]>,
     ) {
         if let Some(stages) = stages {
             self.metrics.observe_stages(stages);
@@ -749,40 +636,122 @@ impl Scheduler {
     }
 }
 
-/// Convenience used by tests and the `serve` example: runs one request
-/// synchronously through the same code path the scheduler uses
-/// (realize, open through the request's backend, erased extract,
-/// serialize), without a daemon.
-///
-/// # Errors
-///
-/// Returns the realization / backend-open error message for
-/// unrealizable scenarios.
-pub fn run_inline(request: &JobRequest) -> Result<Vec<u8>, String> {
-    let csd = request.scenario.realize()?;
+/// What one run of [`run_job`] produced.
+struct JobOutcome {
+    finished: FinishedJob,
+    /// Whether the outcome is deterministic in the request, and so may
+    /// be cached. Backend-open failures and panics are environmental.
+    cacheable: bool,
+    /// The report's stage timings, plus the channel-wait stage when the
+    /// backend multiplexes; `None` when no report was produced.
+    stages: Option<Vec<StageTiming>>,
+    /// When extraction started and how long it ran; `None` when the job
+    /// failed before extracting.
+    extract: Option<(Instant, Duration)>,
+}
+
+impl JobOutcome {
+    /// A failure outside the extraction taxonomy (see
+    /// [`reserved_failure_body`]).
+    fn failed(category: &str, message: String, cacheable: bool) -> Self {
+        Self {
+            finished: FinishedJob {
+                ok: false,
+                cache_hit: false,
+                body: reserved_failure_body(category, &message).into(),
+            },
+            cacheable,
+            stages: None,
+            extract: None,
+        }
+    }
+}
+
+/// Runs one job on the calling thread — the single path every daemon
+/// job takes: realize the scenario, pick the method's extractor, open a
+/// session through the request's backend under `label`, extract,
+/// serialize, then account any shared-channel stall as a `channel-wait`
+/// stage.
+fn run_job(request: &JobRequest, label: &str) -> JobOutcome {
+    let csd = match request.scenario.realize() {
+        Ok(csd) => csd,
+        Err(message) => return JobOutcome::failed("request", message, true),
+    };
     let extractor: Box<dyn Extractor> = match request.method {
         Method::FastExtraction => Box::new(FastExtractor::new()),
         Method::HoughBaseline => Box::new(HoughBaseline::new()),
         Method::TunedFast => Box::new(TuningLoop::new()),
-        other => return Err(format!("method {other} not servable")),
+        // Defensive: `Method` is non-exhaustive, and a hung job would pin
+        // its waiter until the timeout.
+        other => {
+            return JobOutcome::failed("request", format!("method {other} not servable"), true)
+        }
     };
     let scenario = SourceScenario::new(csd)
-        .with_label("inline")
+        .with_label(label)
         .with_seed(request.scenario.seed());
-    let mut session = request
+    let mut session = match request.backend.session(scenario) {
+        Ok(session) => session,
+        // Open failures are environmental (a tape missing *right now*, a
+        // directory briefly unwritable), not deterministic properties of
+        // the request — keep them out of the result cache so a fixed
+        // environment serves fresh runs.
+        Err(e) => return JobOutcome::failed("request", format!("backend open failed: {e}"), false),
+    };
+    let started = Instant::now();
+    let outcome = extract_with(extractor.as_ref(), &mut session);
+    let wall = started.elapsed();
+    // Dropping the session files its shared-channel stall summary (if
+    // its backend multiplexes); drain it whether or not extraction
+    // succeeded, so the pool's finished-session ledger stays tidy.
+    drop(session);
+    let channel_wait = request
         .backend
-        .session(scenario)
-        .map_err(|e| format!("backend open failed: {e}"))?;
-    Ok(match extract_with(extractor.as_ref(), &mut session) {
-        Ok(report) => result_body(&report),
-        Err(error) => failure_body(&error),
-    })
+        .channel_pool()
+        .and_then(|pool| pool.take_session_wait(label));
+    let (ok, body, mut stages) = match outcome {
+        Ok(report) => (true, result_body(&report), Some(report.stages)),
+        Err(error) => (false, failure_body(&error), None),
+    };
+    // Appended *after* `result_body(&report)` serialized the response:
+    // the synthetic stage feeds metrics histograms and trace waterfalls
+    // only — cached and wire bytes stay bit-identical to an
+    // unmultiplexed run.
+    if let (Some(stages), Some(wait)) = (stages.as_mut(), channel_wait) {
+        stages.push(StageTiming {
+            stage: Stage::ChannelWait,
+            probes: wait.stalled as usize,
+            elapsed: wait.wait,
+        });
+    }
+    JobOutcome {
+        finished: FinishedJob {
+            ok,
+            cache_hit: false,
+            body: body.into(),
+        },
+        cacheable: true,
+        stages,
+        extract: Some((started, wall)),
+    }
+}
+
+/// The message a panic was raised with, when it carries one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
+    use qd_instrument::{BackendError, BoxedSource};
+    use std::sync::mpsc;
+    use std::thread::JoinHandle;
 
     fn request(seed: u64) -> JobRequest {
         let mut spec = BenchmarkSpec::clean(0, 64);
@@ -805,9 +774,8 @@ mod tests {
         let b = q.submit(request(2)).unwrap();
         assert_eq!(q.submit(request(3)).unwrap_err(), QueueFull);
         assert_eq!(q.depth(), 2);
-        let batch = q.take_batch(8).unwrap();
-        let ids: Vec<u64> = batch.iter().map(|(id, _, _)| *id).collect();
-        assert_eq!(ids, vec![a, b], "arrival order preserved");
+        let ids = [q.take().unwrap().0, q.take().unwrap().0];
+        assert_eq!(ids, [a, b], "arrival order preserved");
         assert_eq!(q.depth(), 0);
         assert!(matches!(q.status(a), Some(JobState::Running)));
     }
@@ -820,9 +788,9 @@ mod tests {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.wait_finished(id, Duration::from_secs(5)))
         };
-        let batch = q.take_batch(1).unwrap();
+        let (taken, _, _) = q.take().unwrap();
         q.finish(
-            batch[0].0,
+            taken,
             FinishedJob {
                 ok: true,
                 cache_hit: false,
@@ -843,7 +811,7 @@ mod tests {
 
         let blocked = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.take_batch(4))
+            std::thread::spawn(move || q.take())
         };
         let waiter = {
             let q = Arc::clone(&q);
@@ -851,11 +819,11 @@ mod tests {
         };
         // Unknown job id returns immediately.
         assert!(waiter.join().unwrap().is_none());
-        // take_batch first drains the one pending job…
+        // take first drains the one pending job…
         assert!(blocked.join().unwrap().is_some());
         // …then stop() makes the next take return None.
         q.stop();
-        assert!(q.take_batch(4).is_none());
+        assert!(q.take().is_none());
     }
 
     #[test]
@@ -873,9 +841,9 @@ mod tests {
         let id = q.submit(request(11)).unwrap();
         q.on_finished(id, record("pending"));
         assert!(outcomes.lock().unwrap().is_empty(), "not fired yet");
-        let batch = q.take_batch(1).unwrap();
+        let (taken, _, _) = q.take().unwrap();
         q.finish(
-            batch[0].0,
+            taken,
             FinishedJob {
                 ok: true,
                 cache_hit: false,
@@ -922,8 +890,15 @@ mod tests {
         assert!(q.status(first).is_none(), "oldest finished job evicted");
     }
 
-    #[test]
-    fn scheduler_drains_and_caches() {
+    /// A queue with a `jobs`-worker scheduler running behind it.
+    fn scheduled(
+        jobs: usize,
+    ) -> (
+        Arc<JobQueue>,
+        Arc<ResultCache>,
+        Arc<Metrics>,
+        JoinHandle<()>,
+    ) {
         let queue = Arc::new(JobQueue::new(16, 64));
         let cache = Arc::new(ResultCache::new(CacheConfig::default()));
         let metrics = Arc::new(Metrics::default());
@@ -931,10 +906,21 @@ mod tests {
             Arc::clone(&queue),
             Arc::clone(&cache),
             Arc::clone(&metrics),
-            2,
-            8,
+            jobs,
         );
         let handle = std::thread::spawn(move || scheduler.run());
+        (queue, cache, metrics, handle)
+    }
+
+    /// The `error` member of a failed job's result document.
+    fn error_of(finished: &FinishedJob) -> Json {
+        let doc = Json::parse(std::str::from_utf8(&finished.body).unwrap().trim()).unwrap();
+        doc.get("error").cloned().expect("failure document")
+    }
+
+    #[test]
+    fn scheduler_drains_and_caches() {
+        let (queue, cache, metrics, handle) = scheduled(2);
 
         let ids: Vec<u64> = (0..3)
             .map(|k| queue.submit(request(100 + k)).unwrap())
@@ -966,12 +952,13 @@ mod tests {
     }
 
     #[test]
-    fn inline_runner_matches_scheduler_bytes_except_timing() {
-        // Same request through run_inline twice: slopes identical
-        // (timing fields differ, so compare the parsed reports).
+    fn run_job_reproduces_reports_except_timing() {
+        // Same request through run_job twice: slopes identical (timing
+        // fields differ, so compare the parsed reports).
         let req = request(5);
-        let a = run_inline(&req).unwrap();
-        let b = run_inline(&req).unwrap();
+        let (a, b) = (run_job(&req, "a"), run_job(&req, "b"));
+        assert!(a.cacheable && a.extract.is_some());
+        let (a, b) = (a.finished.body, b.finished.body);
         let parse = |bytes: &[u8]| {
             let doc = Json::parse(std::str::from_utf8(bytes).unwrap().trim()).unwrap();
             assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
@@ -985,10 +972,7 @@ mod tests {
 
     #[test]
     fn unrealizable_scenarios_fail_with_request_category() {
-        let queue = Arc::new(JobQueue::new(4, 16));
-        let cache = Arc::new(ResultCache::new(CacheConfig::default()));
-        let metrics = Arc::new(Metrics::default());
-
+        let (queue, _, metrics, handle) = scheduled(1);
         // A spec the generator rejects: lever arms that make the device
         // model singular.
         let mut spec = BenchmarkSpec::clean(0, 64);
@@ -999,26 +983,117 @@ mod tests {
                 fingerprint: fastvg_wire::fnv1a64(canonical.as_bytes()),
                 canonical,
                 scenario: Scenario::Spec(spec),
-                method: Method::FastExtraction,
-                backend: Arc::new(qd_instrument::SimBackend),
-                trace: None,
+                ..request(0)
             })
             .unwrap();
-
-        let scheduler = Scheduler::new(Arc::clone(&queue), cache, Arc::clone(&metrics), 1, 4);
-        let handle = std::thread::spawn(move || scheduler.run());
         let finished = queue
             .wait_finished(id, Duration::from_secs(30))
             .expect("finishes");
         assert!(!finished.ok);
-        let doc = Json::parse(std::str::from_utf8(&finished.body).unwrap().trim()).unwrap();
+        let error = error_of(&finished);
         assert_eq!(
-            doc.get("error")
-                .and_then(|e| e.get("category"))
-                .and_then(Json::as_str),
+            error.get("category").and_then(Json::as_str),
             Some("request")
         );
         assert_eq!(metrics.jobs_failed.get(), 1);
+        queue.stop();
+        handle.join().unwrap();
+    }
+
+    /// A backend whose `open` panics: a stand-in for any bug in a job.
+    struct PanickingBackend;
+
+    impl SourceBackend for PanickingBackend {
+        fn scheme(&self) -> &str {
+            "panicking"
+        }
+
+        fn describe(&self) -> String {
+            "panicking".to_string()
+        }
+
+        fn open(&self, _: SourceScenario) -> Result<BoxedSource, BackendError> {
+            panic!("backend exploded")
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_internal_and_its_worker_keeps_serving() {
+        let (queue, cache, metrics, handle) = scheduled(1);
+        let doomed = JobRequest {
+            backend: Arc::new(PanickingBackend),
+            ..request(20)
+        };
+        let healthy = request(21);
+        let ids = [
+            queue.submit(doomed.clone()).unwrap(),
+            queue.submit(healthy.clone()).unwrap(),
+        ];
+        let [crashed, served] = ids.map(|id| {
+            queue
+                .wait_finished(id, Duration::from_secs(30))
+                .expect("job finishes")
+        });
+        assert!(!crashed.ok);
+        let error = error_of(&crashed);
+        assert_eq!(
+            error.get("category").and_then(Json::as_str),
+            Some("internal")
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("backend exploded"), "{message}");
+        assert!(served.ok, "the worker survived the panic");
+        assert_eq!(metrics.job_panics.get(), 1);
+        assert!(cache
+            .get_shared(doomed.fingerprint, &doomed.canonical)
+            .is_none());
+        assert!(cache
+            .get_shared(healthy.fingerprint, &healthy.canonical)
+            .is_some());
+        queue.stop();
+        handle.join().unwrap();
+    }
+
+    /// A `sim` backend whose `open` waits until the test releases it: a
+    /// job that stays running for as long as the test needs.
+    struct GatedBackend(Mutex<mpsc::Receiver<()>>);
+
+    impl SourceBackend for GatedBackend {
+        fn scheme(&self) -> &str {
+            "gated"
+        }
+
+        fn describe(&self) -> String {
+            "gated".to_string()
+        }
+
+        fn open(&self, scenario: SourceScenario) -> Result<BoxedSource, BackendError> {
+            self.0.lock().unwrap().recv().expect("gate released");
+            qd_instrument::SimBackend.open(scenario)
+        }
+    }
+
+    #[test]
+    fn a_later_job_does_not_wait_for_a_slow_one() {
+        let (queue, _, _, handle) = scheduled(2);
+        let (release, gate) = mpsc::channel();
+        let slow = queue
+            .submit(JobRequest {
+                backend: Arc::new(GatedBackend(Mutex::new(gate))),
+                ..request(30)
+            })
+            .unwrap();
+        let later = queue.submit(request(31)).unwrap();
+        let finished = queue
+            .wait_finished(later, Duration::from_secs(30))
+            .expect("the later job finishes while the slow one is held");
+        assert!(finished.ok);
+        assert_eq!(queue.status(slow).unwrap().name(), "running");
+        release.send(()).unwrap();
+        let finished = queue
+            .wait_finished(slow, Duration::from_secs(30))
+            .expect("the slow job finishes once released");
+        assert!(finished.ok);
         queue.stop();
         handle.join().unwrap();
     }

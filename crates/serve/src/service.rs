@@ -21,7 +21,9 @@ use crate::http::{
     ShutdownHandle,
 };
 use crate::metrics::Metrics;
-use crate::queue::{FinishedJob, JobQueue, JobRequest, JobState, Scenario, Scheduler};
+use crate::queue::{
+    reserved_failure_body, FinishedJob, JobQueue, JobRequest, JobState, Scenario, Scheduler,
+};
 use fastvg_core::report::Method;
 use fastvg_obs::{ActiveSpan, FlusherHandle, SpanId, TraceId, Tracer};
 use fastvg_wire::{request_canonical, request_fingerprint, Json, TraceContext, TRACE_HEADER};
@@ -62,8 +64,6 @@ pub struct ServeConfig {
     pub extract_jobs: usize,
     /// Maximum pending jobs before `POST /extract` answers 503.
     pub queue_capacity: usize,
-    /// Maximum jobs the scheduler drains per wakeup.
-    pub batch_max: usize,
     /// Result-cache sizing.
     pub cache: CacheConfig,
     /// Maximum request body bytes (inline grids are the big ones).
@@ -110,7 +110,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:8737".to_string(),
             extract_jobs: 0,
             queue_capacity: 256,
-            batch_max: 32,
             cache: CacheConfig::default(),
             max_body_bytes: 8 * 1024 * 1024,
             wait_timeout: Duration::from_secs(60),
@@ -175,7 +174,6 @@ impl ServeConfig {
             ));
         }
         bounded("queue_capacity", self.queue_capacity, 1..=1_000_000)?;
-        bounded("batch_max", self.batch_max, 1..=4096)?;
         bounded("extract_jobs", self.extract_jobs, 0..=1024)?;
         bounded("max_body_bytes", self.max_body_bytes, 1..=(1 << 30))?;
         bounded("max_connections", self.max_connections, 1..=1_000_000)?;
@@ -219,12 +217,6 @@ impl ServeConfigBuilder {
     /// Maximum pending jobs before `POST /extract` answers 503.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Maximum jobs the scheduler drains per wakeup.
-    pub fn batch_max(mut self, batch: usize) -> Self {
-        self.config.batch_max = batch;
         self
     }
 
@@ -652,20 +644,10 @@ impl ExtractService {
         } else {
             self.metrics.http_4xx.inc();
         }
-        let mut body = Json::object()
-            .field("ok", false)
-            .field(
-                "error",
-                Json::object()
-                    .field("category", "request")
-                    .field("message", rejection.message.as_str())
-                    .field("chain", Vec::<Json>::new())
-                    .build(),
-            )
-            .build()
-            .dump();
-        body.push('\n');
-        Response::json(rejection.status, body)
+        Response::json(
+            rejection.status,
+            reserved_failure_body("request", &rejection.message),
+        )
     }
 }
 
@@ -1386,7 +1368,6 @@ pub fn start(config: ServeConfig) -> Result<ServiceHandle, ServeError> {
         Arc::clone(&service.cache),
         Arc::clone(&service.metrics),
         config.extract_jobs,
-        config.batch_max,
     )
     .with_tracer(Arc::clone(&service.tracer));
     let scheduler = std::thread::spawn(move || scheduler.run());
@@ -1416,7 +1397,6 @@ mod tests {
             .addr("127.0.0.1:0")
             .extract_jobs(2)
             .queue_capacity(64)
-            .batch_max(8)
             .max_connections(512)
             .wait_timeout(Duration::from_secs(5))
             .request_read_deadline(Duration::from_secs(10))
@@ -1431,7 +1411,7 @@ mod tests {
         let hostile: [(&str, ServeConfigBuilder); 6] = [
             ("addr", ServeConfig::builder().addr("")),
             ("queue_capacity", ServeConfig::builder().queue_capacity(0)),
-            ("batch_max", ServeConfig::builder().batch_max(1 << 20)),
+            ("extract_jobs", ServeConfig::builder().extract_jobs(1 << 20)),
             ("max_connections", ServeConfig::builder().max_connections(0)),
             (
                 "wait_timeout",
