@@ -20,6 +20,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fastvg_core::batch::BatchExtractor;
+use fastvg_core::extraction::FastExtractor;
 use qd_dataset::{paper_suite_jobs, GeneratedBenchmark};
 use qd_instrument::{CsdSource, MeasurementSession, ThrottledSource};
 use std::hint::black_box;
@@ -43,7 +44,7 @@ fn bench_throttled(c: &mut Criterion) {
             |b, &jobs| {
                 let runner = BatchExtractor::new().with_jobs(jobs);
                 b.iter(|| {
-                    let outcomes = runner.run_fast(suite.len(), |i| {
+                    let outcomes = runner.run(&FastExtractor::new(), suite.len(), |i| {
                         MeasurementSession::new(ThrottledSource::new(
                             CsdSource::new(suite[i].csd.clone()),
                             DWELL,
@@ -69,7 +70,7 @@ fn bench_compute(c: &mut Criterion) {
             |b, &jobs| {
                 let runner = BatchExtractor::new().with_jobs(jobs);
                 b.iter(|| {
-                    let outcomes = runner.run_fast(suite.len(), |i| {
+                    let outcomes = runner.run(&FastExtractor::new(), suite.len(), |i| {
                         MeasurementSession::new(CsdSource::new(suite[i].csd.clone()))
                     });
                     black_box(outcomes)

@@ -23,7 +23,7 @@
 //! *probe order* interacts with live drift, so its acquisitions must
 //! stay serial.
 
-use fastvg_bench::{run_method_on, Artifacts, BenchArgs, MethodFilter, Tee};
+use fastvg_bench::{run_method, Artifacts, BenchArgs, MethodFilter, Tee};
 use fastvg_core::anchors::AnchorConfig;
 use fastvg_core::baseline::acquire_full_csd_with;
 use fastvg_core::extraction::{ExtractorConfig, FastExtractor};
@@ -97,7 +97,7 @@ fn sweep_suite(
     jobs: usize,
 ) -> (usize, f64, f64) {
     let extractor = FastExtractor::with_config(config);
-    let runs = run_method_on(backend, &extractor, healthy, criteria, jobs);
+    let runs = run_method(backend, &extractor, healthy, criteria, jobs);
 
     let mut successes = 0;
     let mut probes = 0usize;
@@ -376,7 +376,7 @@ fn ablate_noise(
         let benches = generate_suite(&specs, jobs)?;
         let mut row = format!("{sigma:>8.2}");
         for e in &extractors {
-            let runs = run_method_on(backend, e.as_ref(), &benches, &criteria, jobs);
+            let runs = run_method(backend, e.as_ref(), &benches, &criteria, jobs);
             let ok = runs.iter().filter(|r| r.report.success).count();
             row.push_str(&format!(" {:>14}/3", ok));
         }

@@ -10,17 +10,26 @@
 //! cargo run --release -p fastvg-bench --bin fig7
 //! ```
 
-use fastvg_bench::run_fast;
+use fastvg_bench::run_method;
+use fastvg_core::extraction::FastExtractor;
 use fastvg_core::report::SuccessCriteria;
 use qd_csd::render::AsciiRenderer;
 use qd_csd::Pixel;
 use qd_dataset::paper_benchmark;
+use qd_instrument::SimBackend;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let criteria = SuccessCriteria::default();
     for index in [6usize, 10] {
         let bench = paper_benchmark(index)?;
-        let run = run_fast(&bench, &criteria);
+        let run = run_method(
+            &SimBackend,
+            &FastExtractor::new(),
+            std::slice::from_ref(&bench),
+            &criteria,
+            1,
+        )
+        .remove(0);
         println!(
             "=== Figure 7: probed points on CSD {index} ({} probes, {:.2}% of {}x{}) ===",
             run.report.probes,

@@ -25,7 +25,7 @@
 //! the contended config holds the overlap floor — the shared-channel
 //! counterpart of the Table 1 gate.
 
-use fastvg_bench::{fmt_secs, run_method_on, Artifacts, BenchArgs, MethodRun, Tee};
+use fastvg_bench::{fmt_secs, run_method, Artifacts, BenchArgs, MethodRun, Tee};
 use fastvg_core::extraction::FastExtractor;
 use fastvg_core::report::SuccessCriteria;
 use fastvg_wire::Json;
@@ -101,7 +101,7 @@ fn run_config(
         .resolve(spec)
         .unwrap_or_else(|e| panic!("{spec}: {e}"));
     let start = Instant::now();
-    let runs = run_method_on(
+    let runs = run_method(
         backend.as_ref(),
         &FastExtractor::new(),
         benches,
@@ -135,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The unmultiplexed truth: plain sim, serial.
     let reference: Vec<Fingerprint> =
-        run_method_on(&SimBackend, &FastExtractor::new(), &benches, &criteria, 1)
+        run_method(&SimBackend, &FastExtractor::new(), &benches, &criteria, 1)
             .iter()
             .map(fingerprint)
             .collect();

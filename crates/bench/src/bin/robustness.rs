@@ -22,7 +22,7 @@
 //! (probe-source selection; default `sim`), `--out DIR` (writes
 //! `robustness.csv` with one row per device × method).
 
-use fastvg_bench::{csv_f64, run_method_on, Artifacts, BenchArgs, MethodRun};
+use fastvg_bench::{csv_f64, push_csv_row, run_method, Artifacts, BenchArgs, MethodRun};
 use fastvg_core::report::{Method, SuccessCriteria};
 use qd_dataset::{generate_suite, random_specs};
 
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|e| {
             (
                 e.method(),
-                run_method_on(backend.as_ref(), e.as_ref(), &benches, &criteria, args.jobs),
+                run_method(backend.as_ref(), e.as_ref(), &benches, &criteria, args.jobs),
             )
         })
         .collect();
@@ -114,17 +114,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (method, method_runs) in &runs {
             for run in method_runs {
                 let r = &run.report;
-                csv.push_str(&format!(
-                    "{},{},{},{},{:.6},{:.3},{},{}\n",
-                    r.benchmark,
-                    method,
-                    r.success,
-                    r.probes,
-                    r.coverage,
-                    r.runtime.as_secs_f64(),
-                    csv_f64(r.alpha12),
-                    csv_f64(r.alpha21),
-                ));
+                push_csv_row(
+                    &mut csv,
+                    &[
+                        r.benchmark.to_string(),
+                        method.to_string(),
+                        r.success.to_string(),
+                        r.probes.to_string(),
+                        format!("{:.6}", r.coverage),
+                        format!("{:.3}", r.runtime.as_secs_f64()),
+                        csv_f64(r.alpha12),
+                        csv_f64(r.alpha21),
+                    ],
+                );
             }
         }
         let path = artifacts.write("robustness.csv", &csv)?;

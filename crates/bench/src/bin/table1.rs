@@ -34,7 +34,7 @@
 //! `BENCH_batch_throughput.json`, so the perf trajectory is tracked
 //! across PRs by the uploaded CI artifact.
 
-use fastvg_bench::{csv_f64, fmt_secs, run_method_on, run_suite_on, Artifacts, BenchArgs};
+use fastvg_bench::{csv_f64, fmt_secs, push_csv_row, run_method, run_suite, Artifacts, BenchArgs};
 use fastvg_core::report::SuccessCriteria;
 use fastvg_wire::Json;
 use qd_dataset::paper_suite_jobs;
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if !both {
         // Single-method mode: one table through the one generic path.
         let extractor = args.method.extractors().remove(0);
-        let runs = run_method_on(
+        let runs = run_method(
             backend.as_ref(),
             extractor.as_ref(),
             &suite,
@@ -111,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
 
-    let runs = run_suite_on(backend.as_ref(), &suite, &criteria, args.jobs);
+    let runs = run_suite(backend.as_ref(), &suite, &criteria, args.jobs);
 
     println!("Table 1: Result Summary (synthetic qflow-like suite)");
     println!(
@@ -258,7 +258,7 @@ fn write_throughput_bench(
 ) -> std::io::Result<()> {
     let time_with = |jobs: usize| -> (f64, usize) {
         let started = Instant::now();
-        let runs = run_suite_on(backend, suite, criteria, jobs);
+        let runs = run_suite(backend, suite, criteria, jobs);
         let ok = runs.iter().filter(|r| r.fast.report.success).count();
         (started.elapsed().as_secs_f64(), ok)
     };
@@ -311,21 +311,23 @@ fn write_artifacts(
         "benchmark,size,fast_success,baseline_success,fast_probes,fast_coverage,baseline_probes,fast_runtime_s,baseline_runtime_s,speedup,alpha12,alpha21\n",
     );
     for r in rows {
-        csv.push_str(&format!(
-            "{},{},{},{},{},{:.6},{},{:.3},{:.3},{},{},{}\n",
-            r.benchmark,
-            r.size,
-            r.fast_success,
-            r.base_success,
-            r.fast_probes,
-            r.fast_coverage,
-            r.base_probes,
-            r.fast_runtime.as_secs_f64(),
-            r.base_runtime.as_secs_f64(),
-            r.speedup.map_or("".into(), |s| format!("{s:.4}")),
-            csv_f64(r.alpha12),
-            csv_f64(r.alpha21),
-        ));
+        push_csv_row(
+            &mut csv,
+            &[
+                r.benchmark.to_string(),
+                r.size.to_string(),
+                r.fast_success.to_string(),
+                r.base_success.to_string(),
+                r.fast_probes.to_string(),
+                format!("{:.6}", r.fast_coverage),
+                r.base_probes.to_string(),
+                format!("{:.3}", r.fast_runtime.as_secs_f64()),
+                format!("{:.3}", r.base_runtime.as_secs_f64()),
+                r.speedup.map_or(String::new(), |s| format!("{s:.4}")),
+                csv_f64(r.alpha12),
+                csv_f64(r.alpha21),
+            ],
+        );
     }
     artifacts.write("table1.csv", &csv)?;
 

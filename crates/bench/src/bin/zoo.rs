@@ -27,7 +27,7 @@
 //! order — so the matrix is bit-identical for every `--jobs` value
 //! (asserted by tier-1 `tests/hwsim.rs`).
 
-use fastvg_bench::{csv_f64, score, Artifacts, BenchArgs, MethodRun, Tee};
+use fastvg_bench::{csv_f64, push_csv_row, score, Artifacts, BenchArgs, MethodRun, Tee};
 use fastvg_core::api::Extractor;
 use fastvg_core::baseline::HoughBaseline;
 use fastvg_core::batch::BatchExtractor;
@@ -268,22 +268,24 @@ fn write_artifacts(
     );
     for (i, s) in scenarios.iter().enumerate() {
         let f = &fast[i].report;
-        csv.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{:.6},{:.3},{:.6},{},{}\n",
-            s.label(),
-            s.family.name(),
-            s.severity.name(),
-            s.spec.size,
-            s.backend,
-            f.success,
-            base[i].report.success,
-            f.probes,
-            f.coverage,
-            f.runtime.as_secs_f64(),
-            bus_times[i].as_secs_f64(),
-            csv_f64(f.alpha12),
-            csv_f64(f.alpha21),
-        ));
+        push_csv_row(
+            &mut csv,
+            &[
+                s.label(),
+                s.family.name().to_string(),
+                s.severity.name().to_string(),
+                s.spec.size.to_string(),
+                s.backend.clone(),
+                f.success.to_string(),
+                base[i].report.success.to_string(),
+                f.probes.to_string(),
+                format!("{:.6}", f.coverage),
+                format!("{:.3}", f.runtime.as_secs_f64()),
+                format!("{:.6}", bus_times[i].as_secs_f64()),
+                csv_f64(f.alpha12),
+                csv_f64(f.alpha21),
+            ],
+        );
     }
     artifacts.write("robustness_matrix.csv", &csv)?;
 

@@ -18,14 +18,14 @@
 //! every `--jobs` value (the scoring below never depends on execution
 //! order); only wall-clock changes.
 
-use fastvg_core::api::{ExtractionDetails, ExtractionReport, Extractor};
+use fastvg_core::api::{ExtractionDetails, Extractor};
 use fastvg_core::baseline::HoughBaseline;
 use fastvg_core::batch::{BatchExtractor, BatchOutcome};
 use fastvg_core::extraction::{ExtractionResult, FastExtractor};
 use fastvg_core::report::{Method, ReportRow, SuccessCriteria};
 use qd_dataset::GeneratedBenchmark;
 use qd_instrument::{
-    BackendRegistry, BoxedSource, CsdSource, MeasurementSession, SourceBackend, SourceScenario,
+    BackendRegistry, BoxedSource, MeasurementSession, SourceBackend, SourceScenario,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -48,11 +48,6 @@ pub struct SuiteRun {
     pub fast: MethodRun,
     /// The Canny+Hough baseline outcome.
     pub baseline: MethodRun,
-}
-
-/// A fresh replay session over a generated benchmark's diagram.
-pub fn session_for(bench: &GeneratedBenchmark) -> MeasurementSession<CsdSource> {
-    MeasurementSession::new(CsdSource::new(bench.csd.clone()))
 }
 
 /// Resolves a `--backend` spec through the standard registry, exiting
@@ -78,7 +73,7 @@ pub fn scenario_for(bench: &GeneratedBenchmark, method: Method) -> SourceScenari
 }
 
 /// A fresh session over a benchmark through a runtime-selected backend
-/// — the `--backend` flavor of [`session_for`].
+/// (the harnesses' `--backend` flag).
 ///
 /// # Panics
 ///
@@ -108,7 +103,7 @@ pub fn score(
     bench: &GeneratedBenchmark,
     criteria: &SuccessCriteria,
     method: Method,
-    outcome: BatchOutcome<ExtractionReport>,
+    outcome: BatchOutcome,
 ) -> MethodRun {
     match outcome.outcome {
         Ok(run) => {
@@ -170,54 +165,22 @@ pub fn score(
     }
 }
 
-/// Runs one extraction method over a benchmark suite with up to `jobs`
-/// concurrent sessions and scores each outcome — the single code path
-/// behind every per-method harness (no per-method dispatch needed).
-/// Probes the benchmarks directly (the `sim` backend).
+/// Runs one extraction method over a benchmark suite through `backend`
+/// with up to `jobs` concurrent sessions and scores each outcome — the
+/// single code path behind every per-method harness (no per-method
+/// dispatch needed).
 pub fn run_method(
-    extractor: &dyn Extractor,
-    benches: &[GeneratedBenchmark],
-    criteria: &SuccessCriteria,
-    jobs: usize,
-) -> Vec<MethodRun> {
-    run_method_on(
-        &qd_instrument::SimBackend,
-        extractor,
-        benches,
-        criteria,
-        jobs,
-    )
-}
-
-/// [`run_method`] through a runtime-selected [`SourceBackend`] — what
-/// the harnesses' shared `--backend` flag feeds.
-pub fn run_method_on(
     backend: &dyn SourceBackend,
     extractor: &dyn Extractor,
     benches: &[GeneratedBenchmark],
     criteria: &SuccessCriteria,
     jobs: usize,
 ) -> Vec<MethodRun> {
-    run_method_with(
-        &BatchExtractor::new().with_jobs(jobs),
-        backend,
-        extractor,
-        benches,
-        criteria,
-    )
-}
-
-/// [`run_method_on`] with a caller-configured [`BatchExtractor`].
-pub fn run_method_with(
-    runner: &BatchExtractor,
-    backend: &dyn SourceBackend,
-    extractor: &dyn Extractor,
-    benches: &[GeneratedBenchmark],
-    criteria: &SuccessCriteria,
-) -> Vec<MethodRun> {
-    let outcomes = runner.run(extractor, benches.len(), |i| {
-        session_on(backend, &benches[i], extractor.method())
-    });
+    let outcomes = BatchExtractor::new()
+        .with_jobs(jobs)
+        .run(extractor, benches.len(), |i| {
+            session_on(backend, &benches[i], extractor.method())
+        });
     outcomes
         .into_iter()
         .zip(benches)
@@ -225,64 +188,17 @@ pub fn run_method_with(
         .collect()
 }
 
-/// Runs the fast extraction on a single benchmark and scores it.
-pub fn run_fast(bench: &GeneratedBenchmark, criteria: &SuccessCriteria) -> MethodRun {
-    let mut runs = run_method(
-        &FastExtractor::new(),
-        std::slice::from_ref(bench),
-        criteria,
-        1,
-    );
-    runs.remove(0)
-}
-
-/// Runs the Hough baseline on a single benchmark and scores it.
-pub fn run_baseline(bench: &GeneratedBenchmark, criteria: &SuccessCriteria) -> MethodRun {
-    let mut runs = run_method(
-        &HoughBaseline::new(),
-        std::slice::from_ref(bench),
-        criteria,
-        1,
-    );
-    runs.remove(0)
-}
-
-/// Runs both methods over a benchmark suite with up to `jobs` concurrent
-/// sessions per method, returning scored rows in suite order. Probes
-/// the benchmarks directly (the `sim` backend).
+/// Runs both methods (the paper's fast extractor and the Hough
+/// baseline) over a benchmark suite through `backend` with up to `jobs`
+/// concurrent sessions per method, returning scored rows in suite order.
 pub fn run_suite(
-    benches: &[GeneratedBenchmark],
-    criteria: &SuccessCriteria,
-    jobs: usize,
-) -> Vec<SuiteRun> {
-    run_suite_on(&qd_instrument::SimBackend, benches, criteria, jobs)
-}
-
-/// [`run_suite`] through a runtime-selected [`SourceBackend`].
-pub fn run_suite_on(
     backend: &dyn SourceBackend,
     benches: &[GeneratedBenchmark],
     criteria: &SuccessCriteria,
     jobs: usize,
 ) -> Vec<SuiteRun> {
-    run_suite_with(
-        &BatchExtractor::new().with_jobs(jobs),
-        backend,
-        benches,
-        criteria,
-    )
-}
-
-/// [`run_suite_on`] with a custom-configured [`BatchExtractor`]
-/// (ablation configurations, custom baselines).
-pub fn run_suite_with(
-    runner: &BatchExtractor,
-    backend: &dyn SourceBackend,
-    benches: &[GeneratedBenchmark],
-    criteria: &SuccessCriteria,
-) -> Vec<SuiteRun> {
-    let fast = run_method_with(runner, backend, runner.extractor(), benches, criteria);
-    let base = run_method_with(runner, backend, runner.baseline(), benches, criteria);
+    let fast = run_method(backend, &FastExtractor::new(), benches, criteria, jobs);
+    let base = run_method(backend, &HoughBaseline::new(), benches, criteria, jobs);
     fast.into_iter()
         .zip(base)
         .map(|(fast, baseline)| SuiteRun { fast, baseline })
@@ -533,9 +449,78 @@ pub fn csv_f64(v: f64) -> String {
     }
 }
 
+/// Appends one newline-terminated CSV record to `out`, quoted per RFC
+/// 4180: a field containing `,`, `"`, CR or LF is wrapped in double
+/// quotes with every inner `"` doubled. Every artifact CSV goes through
+/// it, so a field such as the backend spec `hwsim:nominal,xt=0.1` stays
+/// one column.
+pub fn push_csv_row<S: AsRef<str>>(out: &mut String, fields: &[S]) {
+    for (i, field) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let field = field.as_ref();
+        if field.contains([',', '"', '\r', '\n']) {
+            out.push('"');
+            out.push_str(&field.replace('"', "\"\""));
+            out.push('"');
+        } else {
+            out.push_str(field);
+        }
+    }
+    out.push('\n');
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Splits one RFC 4180 record (without its line ending) into fields.
+    fn parse_csv_record(record: &str) -> Vec<String> {
+        let mut fields = vec![String::new()];
+        let mut quoted = false;
+        let mut chars = record.chars().peekable();
+        while let Some(c) = chars.next() {
+            let field = fields.last_mut().expect("at least one field");
+            match c {
+                '"' if quoted && chars.peek() == Some(&'"') => {
+                    chars.next();
+                    field.push('"');
+                }
+                '"' => quoted = !quoted,
+                ',' if !quoted => fields.push(String::new()),
+                c => field.push(c),
+            }
+        }
+        fields
+    }
+
+    #[test]
+    fn csv_rows_round_trip_every_zoo_backend_spec() {
+        let mut quoted = 0;
+        for scenario in qd_dataset::default_zoo(qd_dataset::DEFAULT_ZOO_SEED) {
+            // The 13 columns of `robustness_matrix.csv`; the spec is the
+            // fifth.
+            let mut fields: Vec<String> = (0..13).map(|i| format!("col{i}")).collect();
+            fields[4] = scenario.backend.clone();
+            let mut row = String::new();
+            push_csv_row(&mut row, &fields);
+            quoted += usize::from(row.contains('"'));
+            let parsed = parse_csv_record(row.strip_suffix('\n').expect("newline-terminated"));
+            assert_eq!(parsed.len(), 13, "{row}");
+            assert_eq!(parsed[4], scenario.backend, "{row}");
+        }
+        assert!(
+            quoted > 0,
+            "the zoo has specs with knobs, which need quoting"
+        );
+
+        let hostile = ["a\"b", "x,y", "line\nbreak", "cr\r", ""];
+        let mut row = String::new();
+        push_csv_row(&mut row, &hostile);
+        assert_eq!(row, "\"a\"\"b\",\"x,y\",\"line\nbreak\",\"cr\r\",\n");
+        assert_eq!(parse_csv_record(row.strip_suffix('\n').unwrap()), hostile);
+    }
 
     fn args(list: &[&str]) -> BenchArgs {
         BenchArgs::from_args(list.iter().map(|s| s.to_string()))

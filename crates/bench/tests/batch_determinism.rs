@@ -7,6 +7,7 @@
 use fastvg_bench::run_suite;
 use fastvg_core::report::SuccessCriteria;
 use qd_dataset::paper_suite_jobs;
+use qd_instrument::SimBackend;
 
 // Suite *generation* determinism is asserted where it lives, by
 // `qd_dataset::suite::tests::parallel_suite_generation_is_bit_identical`;
@@ -17,8 +18,8 @@ fn batch_extraction_is_bit_identical_across_jobs() {
     let suite = paper_suite_jobs(4).expect("suite generates");
     let criteria = SuccessCriteria::default();
 
-    let serial = run_suite(&suite, &criteria, 1);
-    let parallel = run_suite(&suite, &criteria, 4);
+    let serial = run_suite(&SimBackend, &suite, &criteria, 1);
+    let parallel = run_suite(&SimBackend, &suite, &criteria, 4);
     assert_eq!(serial.len(), 12);
     assert_eq!(parallel.len(), 12);
 

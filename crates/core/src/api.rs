@@ -49,7 +49,7 @@
 //! # }
 //! ```
 
-use crate::baseline::{BaselineConfig, BaselineResult, HoughBaseline};
+use crate::baseline::{BaselineResult, HoughBaseline};
 use crate::error::WireError;
 use crate::extraction::{ExtractionResult, ExtractorConfig, FastExtractor};
 use crate::report::Method;
@@ -301,51 +301,6 @@ impl<T: Observer + ?Sized> Observer for std::sync::Arc<T> {
     }
     fn on_error(&self, error: &ExtractError) {
         (**self).on_error(error);
-    }
-}
-
-/// Bridges [`Observer`] stage events into `fastvg-obs` spans: every
-/// finished stage becomes one child span under a fixed parent, named by
-/// [`Stage::name`] and carrying the probe count as an attribute. The
-/// pipeline needs no new instrumentation — the spans derive from the
-/// same [`StageTiming`] events it already emits.
-///
-/// Each span is emitted at `on_stage_end` and backdated by the stage's
-/// elapsed time, so consecutive stages tile the extraction interval the
-/// way they tiled wall-clock time.
-#[derive(Debug)]
-pub struct SpanObserver {
-    tracer: std::sync::Arc<fastvg_obs::Tracer>,
-    trace: fastvg_obs::TraceId,
-    parent: Option<fastvg_obs::SpanId>,
-}
-
-impl SpanObserver {
-    /// Emits each finished stage into `trace` as a child of `parent`.
-    pub fn new(
-        tracer: std::sync::Arc<fastvg_obs::Tracer>,
-        trace: fastvg_obs::TraceId,
-        parent: Option<fastvg_obs::SpanId>,
-    ) -> Self {
-        Self {
-            tracer,
-            trace,
-            parent,
-        }
-    }
-}
-
-impl Observer for SpanObserver {
-    fn on_stage_end(&self, timing: &StageTiming) {
-        let dur_us = timing.elapsed.as_micros() as u64;
-        self.tracer.emit(
-            self.trace,
-            self.parent,
-            timing.stage.name(),
-            fastvg_obs::unix_us().saturating_sub(dur_us),
-            dur_us,
-            vec![("probes", timing.probes.to_string())],
-        );
     }
 }
 
@@ -899,7 +854,6 @@ enum BuilderMethod {
 pub struct PipelineBuilder {
     method: BuilderMethod,
     fast_config: ExtractorConfig,
-    baseline_config: BaselineConfig,
     retry: Option<TuningLoop>,
     observers: Vec<Box<dyn Observer>>,
 }
@@ -918,7 +872,6 @@ impl PipelineBuilder {
         Self {
             method,
             fast_config: ExtractorConfig::default(),
-            baseline_config: BaselineConfig::default(),
             retry: None,
             observers: Vec::new(),
         }
@@ -928,12 +881,6 @@ impl PipelineBuilder {
     /// is attached). Ignored by baseline and custom pipelines.
     pub fn with_config(mut self, config: ExtractorConfig) -> Self {
         self.fast_config = config;
-        self
-    }
-
-    /// Configures the baseline. Ignored by fast and custom pipelines.
-    pub fn with_baseline_config(mut self, config: BaselineConfig) -> Self {
-        self.baseline_config = config;
         self
     }
 
@@ -968,7 +915,7 @@ impl PipelineBuilder {
                     Box::new(TuningLoop::with_attempts(rungs))
                 }
             },
-            BuilderMethod::Baseline => Box::new(HoughBaseline::with_config(self.baseline_config)),
+            BuilderMethod::Baseline => Box::new(HoughBaseline::new()),
             BuilderMethod::Custom(extractor) => extractor,
         };
         Pipeline {
@@ -1179,40 +1126,6 @@ mod tests {
             assert_eq!(stage.to_string(), stage.name());
         }
         assert_eq!(Stage::from_name("warmup"), None);
-    }
-
-    #[test]
-    fn span_observer_mirrors_report_stages() {
-        let tracer = fastvg_obs::Tracer::new("core", 7);
-        let trace = fastvg_obs::TraceId(0x42);
-        let parent = fastvg_obs::SpanId(0x7);
-        let pipeline = Pipeline::fast()
-            .with_observer(SpanObserver::new(
-                std::sync::Arc::clone(&tracer),
-                trace,
-                Some(parent),
-            ))
-            .build();
-        let mut session = synthetic_session(100);
-        let report = pipeline.run(&mut session).unwrap();
-
-        // One span per recorded stage, in end order, under the fixed
-        // parent — the bridge is a faithful transcription of
-        // `report.stages`.
-        let lines = tracer.recent();
-        assert_eq!(lines.len(), report.stages.len());
-        for (line, timing) in lines.iter().zip(&report.stages) {
-            assert!(
-                line.contains(&format!("\"name\":\"{}\"", timing.stage.name())),
-                "{line}"
-            );
-            assert!(line.contains("\"trace\":\"0000000000000042\""), "{line}");
-            assert!(line.contains("\"parent\":\"0000000000000007\""), "{line}");
-            assert!(
-                line.contains(&format!("\"probes\":\"{}\"", timing.probes)),
-                "{line}"
-            );
-        }
     }
 
     #[test]

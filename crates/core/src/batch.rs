@@ -6,7 +6,7 @@
 //! cohort, or many physical devices cooling in parallel. This module is
 //! the batch layer every such harness shares: a [`BatchExtractor`] fans a
 //! job queue out over a [`mini_rayon::ThreadPool`], builds one fresh
-//! [`MeasurementSession`] per job inside the worker, runs the configured
+//! [`MeasurementSession`] per job inside the worker, runs the given
 //! extractor, and collects one [`BatchOutcome`] per job **in queue
 //! order**.
 //!
@@ -66,8 +66,6 @@
 //! ```
 
 use crate::api::{extract_with, ExtractionReport, Extractor};
-use crate::baseline::{BaselineResult, HoughBaseline};
-use crate::extraction::{ExtractionResult, FastExtractor};
 use crate::ExtractError;
 use mini_rayon::ThreadPool;
 use qd_instrument::{CurrentSource, MeasurementSession};
@@ -77,12 +75,12 @@ use std::time::{Duration, Instant};
 /// session accounting (Table 1's probe/timing columns) and the probe
 /// scatter (Figure 7), captured before the session is dropped.
 #[derive(Debug)]
-pub struct BatchOutcome<R> {
+pub struct BatchOutcome {
     /// Index of the job in the queue (outcomes are returned in this
     /// order).
     pub job: usize,
     /// What the extractor returned.
-    pub outcome: Result<R, ExtractError>,
+    pub outcome: Result<ExtractionReport, ExtractError>,
     /// Dwell-costing probes the job spent.
     pub probes: usize,
     /// Distinct pixels probed.
@@ -99,15 +97,15 @@ pub struct BatchOutcome<R> {
     pub scatter: Vec<(i64, i64)>,
 }
 
-impl<R> BatchOutcome<R> {
+impl BatchOutcome {
     /// Whether the extractor returned a result.
     pub fn is_ok(&self) -> bool {
         self.outcome.is_ok()
     }
 }
 
-/// Runs fast and/or baseline extractions over a queue of jobs with a
-/// bounded number of concurrent workers.
+/// Runs any extractor over a queue of jobs with a bounded number of
+/// concurrent workers.
 ///
 /// The queue is implicit: `count` jobs indexed `0..count`, each realized
 /// by a caller-supplied session factory. The factory receives the job
@@ -116,20 +114,13 @@ impl<R> BatchOutcome<R> {
 /// keeps parallel runs bit-identical to serial ones.
 #[derive(Debug, Clone, Default)]
 pub struct BatchExtractor {
-    extractor: FastExtractor,
-    baseline: HoughBaseline,
     jobs: usize,
 }
 
 impl BatchExtractor {
-    /// A batch runner with the paper's default extractors and a worker
-    /// per available core.
+    /// A batch runner with a worker per available core.
     pub fn new() -> Self {
-        Self {
-            extractor: FastExtractor::new(),
-            baseline: HoughBaseline::new(),
-            jobs: 0, // 0 = resolve to available parallelism at run time
-        }
+        Self::default() // jobs 0 = resolve to available parallelism at run time
     }
 
     /// Caps concurrent jobs (builder style). `0` means one worker per
@@ -137,20 +128,6 @@ impl BatchExtractor {
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Replaces the fast extractor (ablation configurations).
-    #[must_use]
-    pub fn with_extractor(mut self, extractor: FastExtractor) -> Self {
-        self.extractor = extractor;
-        self
-    }
-
-    /// Replaces the baseline extractor.
-    #[must_use]
-    pub fn with_baseline(mut self, baseline: HoughBaseline) -> Self {
-        self.baseline = baseline;
         self
     }
 
@@ -163,82 +140,28 @@ impl BatchExtractor {
         }
     }
 
-    /// The configured fast extractor.
-    pub fn extractor(&self) -> &FastExtractor {
-        &self.extractor
-    }
-
-    /// The configured baseline extractor.
-    pub fn baseline(&self) -> &HoughBaseline {
-        &self.baseline
-    }
-
     /// Runs *any* extraction method over `count` jobs, building each
-    /// job's session with `make_session(job_index)` — the unified batch
+    /// job's session with `make_session(job_index)` — the one batch
     /// entry point: the same code path serves the fast method, the
     /// baseline, retry ladders, and whole [`crate::api::Pipeline`]s
-    /// (whose observers, being `Sync`, are shared by the workers).
+    /// (whose observers, being `Sync`, are shared by the workers). Each
+    /// outcome captures the session's accounting; outcomes come back in
+    /// job order.
     pub fn run<S, F>(
         &self,
         extractor: &dyn Extractor,
         count: usize,
         make_session: F,
-    ) -> Vec<BatchOutcome<ExtractionReport>>
+    ) -> Vec<BatchOutcome>
     where
         S: CurrentSource + Send,
         F: Fn(usize) -> MeasurementSession<S> + Sync,
-    {
-        self.run_with(count, make_session, |session| {
-            extract_with(extractor, session)
-        })
-    }
-
-    /// Runs the fast extractor over `count` jobs, building each job's
-    /// session with `make_session(job_index)`.
-    pub fn run_fast<S, F>(
-        &self,
-        count: usize,
-        make_session: F,
-    ) -> Vec<BatchOutcome<ExtractionResult>>
-    where
-        S: CurrentSource + Send,
-        F: Fn(usize) -> MeasurementSession<S> + Sync,
-    {
-        self.run_with(count, make_session, |session| {
-            self.extractor.extract(session)
-        })
-    }
-
-    /// Runs the Hough baseline over `count` jobs, building each job's
-    /// session with `make_session(job_index)`.
-    pub fn run_baseline<S, F>(
-        &self,
-        count: usize,
-        make_session: F,
-    ) -> Vec<BatchOutcome<BaselineResult>>
-    where
-        S: CurrentSource + Send,
-        F: Fn(usize) -> MeasurementSession<S> + Sync,
-    {
-        self.run_with(count, make_session, |session| {
-            self.baseline.extract(session)
-        })
-    }
-
-    /// Shared driver: fan the job queue out, run `work` per session,
-    /// capture accounting, collect in job order.
-    fn run_with<S, R, F, W>(&self, count: usize, make_session: F, work: W) -> Vec<BatchOutcome<R>>
-    where
-        S: CurrentSource + Send,
-        R: Send,
-        F: Fn(usize) -> MeasurementSession<S> + Sync,
-        W: Fn(&mut MeasurementSession<S>) -> Result<R, ExtractError> + Sync,
     {
         let queue: Vec<usize> = (0..count).collect();
         ThreadPool::new(self.jobs()).par_map(&queue, |_, &job| {
             let started = Instant::now();
             let mut session = make_session(job);
-            let outcome = work(&mut session);
+            let outcome = extract_with(extractor, &mut session);
             BatchOutcome {
                 job,
                 wall: started.elapsed(),
@@ -256,6 +179,8 @@ impl BatchExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::HoughBaseline;
+    use crate::extraction::FastExtractor;
     use qd_csd::{Csd, VoltageGrid};
     use qd_instrument::CsdSource;
 
@@ -281,9 +206,15 @@ mod tests {
         MeasurementSession::new(CsdSource::new(diagram(k, 100)))
     }
 
+    /// `count` fast extractions over [`session_for`] on `jobs` workers.
+    fn fast_batch(jobs: usize, count: usize) -> Vec<BatchOutcome> {
+        let runner = BatchExtractor::new().with_jobs(jobs);
+        runner.run(&FastExtractor::new(), count, session_for)
+    }
+
     #[test]
     fn outcomes_arrive_in_job_order() {
-        let outcomes = BatchExtractor::new().with_jobs(4).run_fast(6, session_for);
+        let outcomes = fast_batch(4, 6);
         assert_eq!(outcomes.len(), 6);
         for (i, o) in outcomes.iter().enumerate() {
             assert_eq!(o.job, i);
@@ -293,10 +224,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_bitwise() {
-        let runner = BatchExtractor::new();
-        let serial = runner.clone().with_jobs(1).run_fast(5, session_for);
-        let parallel = runner.with_jobs(4).run_fast(5, session_for);
-        for (a, b) in serial.iter().zip(&parallel) {
+        for (a, b) in fast_batch(1, 5).iter().zip(&fast_batch(4, 5)) {
             assert_eq!(a.probes, b.probes);
             assert_eq!(a.unique_pixels, b.unique_pixels);
             assert_eq!(a.scatter, b.scatter);
@@ -304,14 +232,16 @@ mod tests {
             let (ra, rb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
             assert_eq!(ra.slope_h.to_bits(), rb.slope_h.to_bits());
             assert_eq!(ra.slope_v.to_bits(), rb.slope_v.to_bits());
-            assert_eq!(ra.transition_points, rb.transition_points);
+            assert_eq!(
+                ra.details.fast().unwrap().transition_points,
+                rb.details.fast().unwrap().transition_points
+            );
         }
     }
 
     #[test]
     fn session_accounting_matches_result() {
-        let outcomes = BatchExtractor::new().with_jobs(2).run_fast(2, session_for);
-        for o in &outcomes {
+        for o in &fast_batch(2, 2) {
             let r = o.outcome.as_ref().unwrap();
             assert_eq!(o.probes, r.probes);
             assert!(o.coverage > 0.0 && o.coverage < 0.25);
@@ -323,13 +253,15 @@ mod tests {
     #[test]
     fn failures_are_per_job_not_batch_wide() {
         let flat = Csd::constant(VoltageGrid::new(0.0, 0.0, 1.0, 64, 64).unwrap(), 1.0).unwrap();
-        let outcomes = BatchExtractor::new().with_jobs(3).run_fast(3, |job| {
-            if job == 1 {
-                MeasurementSession::new(CsdSource::new(flat.clone()))
-            } else {
-                session_for(job)
-            }
-        });
+        let outcomes = BatchExtractor::new()
+            .with_jobs(3)
+            .run(&FastExtractor::new(), 3, |job| {
+                if job == 1 {
+                    MeasurementSession::new(CsdSource::new(flat.clone()))
+                } else {
+                    session_for(job)
+                }
+            });
         assert!(outcomes[0].is_ok());
         assert!(!outcomes[1].is_ok(), "flat diagram must fail cleanly");
         assert!(outcomes[2].is_ok());
@@ -339,63 +271,15 @@ mod tests {
 
     #[test]
     fn baseline_runs_in_batch_too() {
-        let outcomes = BatchExtractor::new().with_jobs(2).run_baseline(2, |k| {
-            MeasurementSession::new(CsdSource::new(diagram(k, 63)))
-        });
+        let outcomes = BatchExtractor::new()
+            .with_jobs(2)
+            .run(&HoughBaseline::new(), 2, |k| {
+                MeasurementSession::new(CsdSource::new(diagram(k, 63)))
+            });
         for o in &outcomes {
             assert!(o.is_ok());
             assert_eq!(o.probes, 63 * 63, "baseline probes everything");
             assert!((o.coverage - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn custom_extractor_config_is_honored() {
-        use crate::extraction::ExtractorConfig;
-        let cfg = ExtractorConfig {
-            contrast_threshold: None,
-            ..ExtractorConfig::default()
-        };
-        let runner = BatchExtractor::new()
-            .with_jobs(2)
-            .with_extractor(FastExtractor::with_config(cfg.clone()));
-        assert_eq!(runner.extractor().config(), &cfg);
-        let outcomes = runner.run_fast(2, session_for);
-        assert!(outcomes.iter().all(BatchOutcome::is_ok));
-    }
-
-    #[test]
-    fn dyn_extractor_batches_match_typed_batches() {
-        use crate::api::Extractor;
-        use crate::baseline::HoughBaseline;
-        use crate::tuning::TuningLoop;
-
-        let runner = BatchExtractor::new().with_jobs(2);
-        let typed = runner.run_fast(3, session_for);
-        let erased = runner.run(&FastExtractor::new(), 3, session_for);
-        for (t, e) in typed.iter().zip(&erased) {
-            let (tr, er) = (t.outcome.as_ref().unwrap(), e.outcome.as_ref().unwrap());
-            assert_eq!(tr.slope_h.to_bits(), er.slope_h.to_bits());
-            assert_eq!(tr.slope_v.to_bits(), er.slope_v.to_bits());
-            assert_eq!(t.probes, e.probes);
-            assert_eq!(t.scatter, e.scatter);
-        }
-
-        // Every shipped method runs through the same entry point.
-        let methods: Vec<Box<dyn Extractor>> = vec![
-            Box::new(FastExtractor::new()),
-            Box::new(HoughBaseline::new()),
-            Box::new(TuningLoop::new()),
-        ];
-        for m in &methods {
-            let outcomes = runner.run(m.as_ref(), 2, |k| {
-                MeasurementSession::new(CsdSource::new(diagram(k, 63)))
-            });
-            assert!(
-                outcomes.iter().all(BatchOutcome::is_ok),
-                "{} failed in batch",
-                m.method()
-            );
         }
     }
 

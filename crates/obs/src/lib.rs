@@ -5,9 +5,11 @@
 //! per-process seed and a counter via the SplitMix64 finalizer, so a fixed
 //! seed reproduces the exact same id sequence — replay tests can assert on
 //! ids instead of fishing for them. Finished spans are pushed onto a bounded
-//! lock-free collector (a Vyukov-style ring; overflow is counted, never
-//! blocks the hot path) and drained by a background flusher thread into a
+//! queue (one mutex-guarded deque; overflow is dropped and counted, never
+//! waited on) and drained by a background flusher thread into a
 //! newline-JSON file and a small in-memory ring served by `/trace/recent`.
+//! [`Tracer::request_span`] is the one rule every process uses to decide
+//! which incoming requests get a span.
 //!
 //! The crate deliberately depends on nothing — not even the workspace's
 //! `fastvg-wire` — so any layer can link it without cycles. JSON is emitted
@@ -21,7 +23,7 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -222,131 +224,63 @@ pub fn unix_us() -> u64 {
         .as_micros() as u64
 }
 
-struct SlotCell {
-    /// Vyukov sequence: `ticket` when ready for a producer holding that
-    /// ticket, `ticket + 1` once the producer stored, `ticket + capacity`
-    /// after the consumer cleared it.
-    seq: AtomicUsize,
-    cell: Mutex<Option<Span>>,
-}
-
 /// Bounded multi-producer span queue with counted overflow.
 ///
-/// A Vyukov-style ring: producers and consumers claim tickets with one
-/// atomic RMW each and synchronise per-slot through a sequence number, so
-/// the queue never takes a global lock and a full queue drops (and counts)
-/// rather than blocks — tracing must never add backpressure to the hot
-/// path. Slot payloads sit behind a per-slot `Mutex` purely to stay within
-/// safe Rust; the mutex is only ever taken uncontended by the ticket
-/// holder.
+/// One mutex-guarded deque capped at `capacity`: a full queue drops (and
+/// counts) the span rather than blocking, so tracing never adds
+/// backpressure to the hot path. Producers hold the lock for one
+/// `push_back`; [`Collector::drain`] swaps the whole deque out. The deque
+/// allocates with its first span, so an idle collector costs nothing.
 pub struct Collector {
-    slots: Box<[SlotCell]>,
-    enqueue: AtomicUsize,
-    dequeue: AtomicUsize,
+    queue: Mutex<VecDeque<Span>>,
+    capacity: usize,
     dropped: AtomicU64,
 }
 
 impl std::fmt::Debug for Collector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Collector")
-            .field("capacity", &self.slots.len())
+            .field("capacity", &self.capacity)
             .field("dropped", &self.dropped.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl Collector {
-    /// Creates a collector holding up to `capacity` spans (rounded up to a
-    /// power of two, minimum 8).
+    /// Creates a collector holding up to `capacity` spans (minimum 1).
     pub fn with_capacity(capacity: usize) -> Collector {
-        let capacity = capacity.max(8).next_power_of_two();
-        let slots = (0..capacity)
-            .map(|i| SlotCell {
-                seq: AtomicUsize::new(i),
-                cell: Mutex::new(None),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Collector {
-            slots,
-            enqueue: AtomicUsize::new(0),
-            dequeue: AtomicUsize::new(0),
+            queue: Mutex::new(VecDeque::new()),
+            capacity: capacity.max(1),
             dropped: AtomicU64::new(0),
         }
     }
 
-    fn mask(&self) -> usize {
-        self.slots.len() - 1
+    fn queue(&self) -> std::sync::MutexGuard<'_, VecDeque<Span>> {
+        self.queue.lock().expect("span queue poisoned")
     }
 
     /// Pushes a span; on overflow the span is dropped and counted.
     /// Returns whether the span was accepted.
     pub fn push(&self, span: Span) -> bool {
-        let mut pos = self.enqueue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask()];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == pos {
-                match self.enqueue.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        *slot.cell.lock().expect("slot mutex poisoned") = Some(span);
-                        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        return true;
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if (seq as isize).wrapping_sub(pos as isize) < 0 {
-                // Slot not yet freed by the consumer: the ring is full.
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return false;
-            } else {
-                pos = self.enqueue.load(Ordering::Relaxed);
-            }
+        let mut queue = self.queue();
+        if queue.len() == self.capacity {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
+        queue.push_back(span);
+        true
     }
 
     /// Pops one span if available.
     pub fn pop(&self) -> Option<Span> {
-        let mut pos = self.dequeue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask()];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let expected = pos.wrapping_add(1);
-            if seq == expected {
-                match self.dequeue.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let span = slot.cell.lock().expect("slot mutex poisoned").take();
-                        slot.seq
-                            .store(pos.wrapping_add(self.slots.len()), Ordering::Release);
-                        return span;
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if (seq as isize).wrapping_sub(expected as isize) < 0 {
-                return None; // empty
-            } else {
-                pos = self.dequeue.load(Ordering::Relaxed);
-            }
-        }
+        self.queue().pop_front()
     }
 
-    /// Drains every currently-queued span.
+    /// Drains every currently-queued span, oldest first.
     pub fn drain(&self) -> Vec<Span> {
-        let mut out = Vec::new();
-        while let Some(span) = self.pop() {
-            out.push(span);
-        }
-        out
+        let spans = std::mem::take(&mut *self.queue());
+        spans.into()
     }
 
     /// Number of spans dropped on overflow since creation.
@@ -370,6 +304,9 @@ pub struct Tracer {
     layer: String,
     recent: Mutex<VecDeque<String>>,
     sink: Mutex<Option<BufWriter<File>>>,
+    /// Set by [`Tracer::set_file`], so the request path never locks the
+    /// sink to learn whether it exists.
+    exporting: AtomicBool,
     stop: AtomicBool,
 }
 
@@ -390,22 +327,20 @@ impl Tracer {
             ids: IdGen::with_seed(seed),
             collector: Collector::with_capacity(4096),
             layer: layer.to_string(),
-            recent: Mutex::new(VecDeque::with_capacity(RECENT_CAP)),
+            recent: Mutex::new(VecDeque::new()),
             sink: Mutex::new(None),
+            exporting: AtomicBool::new(false),
             stop: AtomicBool::new(false),
         })
     }
 
     /// Attaches a newline-JSON file sink (truncates an existing file).
+    /// From then on [`Tracer::request_span`] traces every request.
     pub fn set_file(&self, path: &Path) -> std::io::Result<()> {
         let file = File::create(path)?;
         *self.sink.lock().expect("sink mutex poisoned") = Some(BufWriter::new(file));
+        self.exporting.store(true, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// The layer tag stamped on every span from this tracer.
-    pub fn layer(&self) -> &str {
-        &self.layer
     }
 
     /// Spans dropped because the collector overflowed.
@@ -424,8 +359,20 @@ impl Tracer {
         self.start(parent.trace, Some(parent.span), name)
     }
 
+    /// Opens the `request` span for one incoming request: a child of the
+    /// caller's context when the request carried one, a fresh root when
+    /// this tracer exports to a file, and `None` (nothing recorded)
+    /// otherwise.
+    pub fn request_span(self: &Arc<Self>, incoming: Option<SpanContext>) -> Option<ActiveSpan> {
+        match incoming {
+            Some(parent) => Some(self.child(parent, "request")),
+            None if self.exporting.load(Ordering::Relaxed) => Some(self.root("request")),
+            None => None,
+        }
+    }
+
     /// Starts a span with explicit trace and optional parent ids.
-    pub fn start(
+    fn start(
         self: &Arc<Self>,
         trace: TraceId,
         parent: Option<SpanId>,
@@ -593,6 +540,27 @@ impl ActiveSpan {
         self.span_mut().attrs.push((key, value.into()));
     }
 
+    /// Records a child of this span that *ends now* and lasted `dur` —
+    /// the shape of every phase measured after the fact (socket read,
+    /// body parse, queue wait, a peer probe, the response).
+    pub fn child_ending_now(
+        &self,
+        name: &'static str,
+        dur: Duration,
+        attrs: Vec<(&'static str, String)>,
+    ) {
+        let ctx = self.context();
+        let dur_us = dur.as_micros() as u64;
+        self.tracer.emit(
+            ctx.trace,
+            Some(ctx.span),
+            name,
+            unix_us().saturating_sub(dur_us),
+            dur_us,
+            attrs,
+        );
+    }
+
     /// Moves the start back to an earlier instant (for spans whose work
     /// began before the span object could be created, e.g. queue wait
     /// measured from the submit instant).
@@ -721,6 +689,46 @@ mod tests {
         assert!(lines[0].contains("\"attrs\":{\"stage\":\"acquire\"}"));
         assert!(lines[1].contains("\"parent\":null"));
         assert!(lines[1].contains(&format!("\"trace\":\"{}\"", ctx.trace.to_hex())));
+    }
+
+    #[test]
+    fn request_span_follows_the_one_rule() {
+        let tracer = Tracer::new("test", 13);
+        // No caller context and no export file: untraced, nothing recorded.
+        assert!(tracer.request_span(None).is_none());
+        assert!(tracer.recent().is_empty());
+
+        // A caller's context: the request span is its child.
+        let caller = SpanContext {
+            trace: TraceId(0x42),
+            span: SpanId(0x7),
+        };
+        let span = tracer.request_span(Some(caller)).expect("traced caller");
+        assert_eq!(span.context().trace, caller.trace);
+        span.child_ending_now("read", Duration::from_micros(250), vec![("k", "v".into())]);
+        span.finish();
+        let lines = tracer.recent();
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].contains("\"name\":\"read\""));
+        assert!(lines[0].contains("\"dur_us\":250"));
+        assert!(lines[0].contains("\"attrs\":{\"k\":\"v\"}"));
+        assert!(lines[1].contains("\"name\":\"request\""));
+        assert!(lines[1].contains("\"parent\":\"0000000000000007\""));
+
+        // Exporting to a file: a request without a context gets a root.
+        let dir = std::env::temp_dir().join(format!("fastvg-obs-rule-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        tracer.set_file(&dir.join("trace.jsonl")).unwrap();
+        let root = tracer
+            .request_span(None)
+            .expect("exporting tracer traces every request");
+        assert_ne!(root.context().trace, caller.trace);
+        root.finish();
+        let lines = tracer.recent();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[2].contains("\"name\":\"request\""));
+        assert!(lines[2].contains("\"parent\":null"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use crate::health::FleetHealth;
 use crate::ring::HashRing;
 use crate::RouterConfig;
-use fastvg_obs::{ActiveSpan, SpanId, TraceId, Tracer};
+use fastvg_obs::{ActiveSpan, Tracer};
 use fastvg_serve::http::{deferred, Completer, Handler, Outcome, Request, Response, ServerStats};
 use fastvg_serve::metrics::{family, render_build_info, Counter, Gauge, Histogram};
 use fastvg_serve::queue::reserved_failure_body;
@@ -272,7 +272,6 @@ pub struct RouterService {
     metrics: RouterMetrics,
     peer_shards: Vec<PeerShardCounters>,
     tracer: Arc<Tracer>,
-    trace_all: bool,
     queue: Arc<WorkQueue>,
     started: Instant,
     pub(crate) server_stats: OnceLock<Arc<ServerStats>>,
@@ -339,7 +338,6 @@ impl RouterService {
                 .map(|_| PeerShardCounters::default())
                 .collect(),
             tracer,
-            trace_all: config.trace_out.is_some(),
             queue: Arc::new(WorkQueue::default()),
             started: Instant::now(),
             server_stats: OnceLock::new(),
@@ -414,47 +412,16 @@ impl RouterService {
         }
     }
 
-    /// Starts the router-hop `request` span: a child of the incoming
-    /// `x-fastvg-trace` context, a fresh root under `--trace-out`, or
-    /// none at all (no header and no export file). The span is backdated
-    /// past the worker-queue wait (and the socket read, which the
-    /// reactor measured into [`Request::read_us`]), and the queue wait
-    /// gets its own child so waterfalls show reactor → worker hand-off.
+    /// Starts the router-hop `request` span under
+    /// [`Tracer::request_span`]'s rule. The span is backdated past the
+    /// worker-queue wait (and the socket read, which the reactor measured
+    /// into [`Request::read_us`]), and the queue wait gets its own child
+    /// so waterfalls show reactor → worker hand-off.
     fn request_span(&self, request: &Request, enqueued: Instant) -> Option<ActiveSpan> {
-        let incoming = request.header(TRACE_HEADER).and_then(TraceContext::parse);
-        if incoming.is_none() && !self.trace_all {
-            return None;
-        }
-        let mut span = match incoming {
-            Some(ctx) => self
-                .tracer
-                .start(TraceId(ctx.trace), Some(SpanId(ctx.span)), "request"),
-            None => self.tracer.root("request"),
-        };
+        let mut span = self.tracer.request_span(request.trace_parent())?;
         span.backdate(enqueued - Duration::from_micros(request.read_us));
-        self.emit_child(Some(&span), "queue_wait", enqueued, Vec::new());
+        span.child_ending_now("queue_wait", enqueued.elapsed(), Vec::new());
         Some(span)
-    }
-
-    /// Emits a child of `span` that started at `started` and ends now.
-    fn emit_child(
-        &self,
-        span: Option<&ActiveSpan>,
-        name: &'static str,
-        started: Instant,
-        attrs: Vec<(&'static str, String)>,
-    ) {
-        let Some(span) = span else { return };
-        let ctx = span.context();
-        let dur_us = started.elapsed().as_micros() as u64;
-        self.tracer.emit(
-            ctx.trace,
-            Some(ctx.span),
-            name,
-            fastvg_obs::unix_us().saturating_sub(dur_us),
-            dur_us,
-            attrs,
-        );
     }
 
     /// The `/extract` path: the span wrapper around
@@ -503,15 +470,16 @@ impl RouterService {
             // Owner first: its own cache answers without extraction.
             let probe_started = Instant::now();
             let probed = self.cache_probe(owner, &job.canonical, job.fingerprint);
-            self.emit_child(
-                span,
-                "peer_probe",
-                probe_started,
-                vec![
-                    ("shard", owner.to_string()),
-                    ("hit", probed.is_some().to_string()),
-                ],
-            );
+            if let Some(span) = span {
+                span.child_ending_now(
+                    "peer_probe",
+                    probe_started.elapsed(),
+                    vec![
+                        ("shard", owner.to_string()),
+                        ("hit", probed.is_some().to_string()),
+                    ],
+                );
+            }
             if let Some(response) = probed {
                 self.metrics.routed_hits.inc();
                 return (self.relay(response, owner_index, None), "cache_hit");
@@ -526,15 +494,16 @@ impl RouterService {
                 }
                 let probe_started = Instant::now();
                 let probed = self.cache_probe(&addr, &job.canonical, job.fingerprint);
-                self.emit_child(
-                    span,
-                    "peer_probe",
-                    probe_started,
-                    vec![
-                        ("shard", addr.clone()),
-                        ("hit", probed.is_some().to_string()),
-                    ],
-                );
+                if let Some(span) = span {
+                    span.child_ending_now(
+                        "peer_probe",
+                        probe_started.elapsed(),
+                        vec![
+                            ("shard", addr.clone()),
+                            ("hit", probed.is_some().to_string()),
+                        ],
+                    );
+                }
                 if let Some(response) = probed {
                     found = Some((index, addr, response));
                     break;
@@ -549,16 +518,17 @@ impl RouterService {
                     if seeded {
                         self.peer_shards[owner_index].seeds.inc();
                     }
-                    self.emit_child(
-                        span,
-                        "peer_seed",
-                        seed_started,
-                        vec![
-                            ("shard", owner.to_string()),
-                            ("from", addr),
-                            ("ok", seeded.to_string()),
-                        ],
-                    );
+                    if let Some(span) = span {
+                        span.child_ending_now(
+                            "peer_seed",
+                            seed_started.elapsed(),
+                            vec![
+                                ("shard", owner.to_string()),
+                                ("from", addr),
+                                ("ok", seeded.to_string()),
+                            ],
+                        );
+                    }
                     return (self.relay(response, index, Some("peer")), "peer_hit");
                 }
                 None => {
@@ -584,10 +554,7 @@ impl RouterService {
             // parents its own spans under *this* id, so the hop nests
             // inside the attempt that actually reached it.
             let mut attempt_span = span.map(|parent| {
-                let ctx = parent.context();
-                let mut s = self
-                    .tracer
-                    .start(ctx.trace, Some(ctx.span), "proxy_attempt");
+                let mut s = self.tracer.child(parent.context(), "proxy_attempt");
                 s.attr("shard", addr);
                 s.attr("attempt", attempt.to_string());
                 s

@@ -7,7 +7,7 @@
 //! connect retries are decided; one [`Client`] is one persistent
 //! connection; drop it to close.
 
-use fastvg_wire::{mix64, Json, JsonError};
+use fastvg_wire::{Json, JsonError};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -32,12 +32,8 @@ use std::time::Duration;
 pub struct ClientConfig {
     connect_timeout: Duration,
     read_timeout: Option<Duration>,
-    nodelay: bool,
     retries: u32,
     retry_backoff: Duration,
-    /// Jitter depth in per-mille of the linear backoff (0 = none,
-    /// 1000 = full jitter). Stored fixed-point so the config stays `Eq`.
-    retry_jitter_pm: u32,
 }
 
 impl Default for ClientConfig {
@@ -45,10 +41,8 @@ impl Default for ClientConfig {
         Self {
             connect_timeout: Duration::from_secs(10),
             read_timeout: Some(Duration::from_secs(120)),
-            nodelay: true,
             retries: 0,
             retry_backoff: Duration::from_millis(50),
-            retry_jitter_pm: 0,
         }
     }
 }
@@ -73,55 +67,19 @@ impl ClientConfig {
         self
     }
 
-    /// Whether to set `TCP_NODELAY` (on by default — requests are small
-    /// and latency-sensitive).
-    pub fn nodelay(mut self, nodelay: bool) -> Self {
-        self.nodelay = nodelay;
-        self
-    }
-
     /// Retry refused/timed-out connects up to `retries` extra times,
-    /// sleeping [`ClientConfig::backoff_delay`] between tries. Useful
-    /// when racing a daemon that is still binding its socket.
+    /// sleeping `backoff × n` before retry `n`. Useful when racing a
+    /// daemon that is still binding its socket.
     pub fn retries(mut self, retries: u32, backoff: Duration) -> Self {
         self.retries = retries;
         self.retry_backoff = backoff;
         self
     }
 
-    /// Jitter fraction `0.0..=1.0` applied to the retry backoff (default
-    /// `0.0`). With jitter `j`, attempt `n` sleeps somewhere in
-    /// `((1-j)·backoff·n, backoff·n]` — pulled *earlier*, never later,
-    /// so a fleet of clients hammering a recovering daemon de-phases
-    /// instead of arriving in lockstep waves. The jitter is
-    /// deterministic: it is seeded from the attempt counter alone (a
-    /// [`mix64`] of `n`), no clocks or ambient entropy, so a given
-    /// config produces the same schedule on every run.
-    pub fn jitter(mut self, fraction: f64) -> Self {
-        self.retry_jitter_pm = (fraction.clamp(0.0, 1.0) * 1000.0).round() as u32;
-        self
-    }
-
-    /// The configured read timeout.
-    pub fn read_timeout_value(&self) -> Option<Duration> {
-        self.read_timeout
-    }
-
-    /// The exact sleep before retry `attempt` (1-based): linear backoff
-    /// `backoff × attempt`, scaled down by the deterministic per-attempt
-    /// jitter (see [`ClientConfig::jitter`]). Public so the schedule is
-    /// unit-testable and reusable by callers running their own retry
-    /// loops.
-    pub fn backoff_delay(&self, attempt: u32) -> Duration {
-        let base = self.retry_backoff * attempt;
-        if self.retry_jitter_pm == 0 {
-            return base;
-        }
-        // A uniform fraction in [0, 1) from the attempt counter's mixed
-        // bits — the top 53 so the f64 conversion is exact.
-        let frac = (mix64(u64::from(attempt)) >> 11) as f64 / (1u64 << 53) as f64;
-        let jitter = f64::from(self.retry_jitter_pm) / 1000.0;
-        base.mul_f64(1.0 - jitter * frac)
+    /// The sleep before retry `attempt` (1-based): the linear backoff
+    /// `backoff × attempt`.
+    fn backoff_delay(&self, attempt: u32) -> Duration {
+        self.retry_backoff * attempt
     }
 
     /// Opens one persistent connection to `addr`
@@ -153,7 +111,8 @@ impl ClientConfig {
         })?;
         let stream = TcpStream::connect_timeout(&sockaddr, self.connect_timeout)?;
         stream.set_read_timeout(self.read_timeout)?;
-        stream.set_nodelay(self.nodelay)?;
+        // Requests are small and latency-sensitive.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             writer,
@@ -376,7 +335,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backoff_without_jitter_is_the_linear_schedule() {
+    fn backoff_is_the_linear_schedule() {
         let config = ClientConfig::new().retries(5, Duration::from_millis(50));
         for attempt in 1..=5 {
             assert_eq!(
@@ -384,49 +343,5 @@ mod tests {
                 Duration::from_millis(50) * attempt
             );
         }
-    }
-
-    #[test]
-    fn jittered_backoff_is_deterministic_and_bounded() {
-        let config = ClientConfig::new()
-            .retries(8, Duration::from_millis(100))
-            .jitter(0.5);
-        let again = config.clone();
-        for attempt in 1..=8u32 {
-            let delay = config.backoff_delay(attempt);
-            // Same config, same attempt — same delay, every time. No
-            // clocks or ambient entropy feed the schedule.
-            assert_eq!(delay, again.backoff_delay(attempt), "attempt {attempt}");
-            let base = Duration::from_millis(100) * attempt;
-            assert!(delay <= base, "jitter only pulls earlier ({attempt})");
-            assert!(
-                delay > base.mul_f64(0.5 - 1e-9),
-                "jitter depth capped at the configured fraction ({attempt})"
-            );
-        }
-        // Consecutive attempts must not share a phase: that is the whole
-        // point (de-phasing retry waves).
-        let frac = |n: u32| {
-            config.backoff_delay(n).as_secs_f64() / (Duration::from_millis(100) * n).as_secs_f64()
-        };
-        assert_ne!(frac(1).to_bits(), frac(2).to_bits());
-        assert_ne!(frac(2).to_bits(), frac(3).to_bits());
-    }
-
-    #[test]
-    fn full_jitter_spans_the_interval() {
-        let config = ClientConfig::new()
-            .retries(64, Duration::from_millis(100))
-            .jitter(1.0);
-        let fractions: Vec<f64> = (1..=64u32)
-            .map(|n| {
-                config.backoff_delay(n).as_secs_f64()
-                    / (Duration::from_millis(100) * n).as_secs_f64()
-            })
-            .collect();
-        let min = fractions.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = fractions.iter().copied().fold(0.0, f64::max);
-        assert!(min < 0.25, "full jitter must reach the low end, got {min}");
-        assert!(max > 0.75, "full jitter must reach the high end, got {max}");
     }
 }

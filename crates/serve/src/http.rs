@@ -34,6 +34,8 @@
 //! the threaded server this replaced.
 
 use crate::wheel::{Fired, TimerWheel};
+use fastvg_obs::{SpanContext, SpanId, TraceId};
+use fastvg_wire::{TraceContext, TRACE_HEADER};
 use mini_epoll::{Event, Interest, Poller, Waker};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -105,6 +107,16 @@ impl Request {
             .iter()
             .find(|(k, _)| *k == name)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// The caller's span context from a well-formed `x-fastvg-trace`
+    /// header, if the request carries one.
+    pub fn trace_parent(&self) -> Option<SpanContext> {
+        let ctx = self.header(TRACE_HEADER).and_then(TraceContext::parse)?;
+        Some(SpanContext {
+            trace: TraceId(ctx.trace),
+            span: SpanId(ctx.span),
+        })
     }
 
     /// Whether the query string contains flag `name` (bare or `=true`).

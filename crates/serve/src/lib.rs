@@ -83,6 +83,6 @@ pub use metrics::{Histogram, Metrics};
 pub use queue::{JobQueue, JobRequest, JobState, Scenario};
 pub use remote::RemoteExtractor;
 pub use service::{
-    start, ConfigError, ExtractParser, ExtractService, RequestError, ServeConfig,
-    ServeConfigBuilder, ServeError, ServiceHandle, REQUEST_BACKEND_SCHEMES, REQUEST_MAX_DWELL,
+    start, ConfigError, ExtractParser, ExtractService, RequestError, ServeConfig, ServeError,
+    ServiceHandle, REQUEST_BACKEND_SCHEMES, REQUEST_MAX_DWELL,
 };

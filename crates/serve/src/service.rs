@@ -25,8 +25,8 @@ use crate::queue::{
     reserved_failure_body, FinishedJob, JobQueue, JobRequest, JobState, Scenario, Scheduler,
 };
 use fastvg_core::report::Method;
-use fastvg_obs::{ActiveSpan, FlusherHandle, SpanId, TraceId, Tracer};
-use fastvg_wire::{request_canonical, request_fingerprint, Json, TraceContext, TRACE_HEADER};
+use fastvg_obs::{ActiveSpan, FlusherHandle, Tracer};
+use fastvg_wire::{request_canonical, request_fingerprint, Json, TraceContext};
 use qd_csd::{Csd, VoltageGrid};
 use qd_dataset::wire::MAX_SPEC_SIZE;
 use qd_dataset::BenchmarkSpec;
@@ -54,8 +54,8 @@ pub const REQUEST_BACKEND_SCHEMES: [&str; 4] = ["sim", "throttled", "hwsim", "mu
 
 /// Daemon configuration.
 ///
-/// Construct via [`ServeConfig::builder`] to get hostile values rejected
-/// up front, or fill the fields directly and let [`start`] validate.
+/// Fill the fields over [`ServeConfig::default`]; [`start`] rejects
+/// hostile values through [`ServeConfig::validate`] before binding.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address (`"127.0.0.1:0"` for an ephemeral port).
@@ -127,16 +127,8 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// A fluent builder over the defaults, mirroring
-    /// `fastvg_core::Pipeline`.
-    pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder {
-            config: ServeConfig::default(),
-        }
-    }
-
-    /// Checks every field against its sane range; [`start`] runs this,
-    /// and [`ServeConfigBuilder::build`] runs it early.
+    /// Checks every field against its sane range; [`start`] runs this
+    /// before binding anything.
     ///
     /// # Errors
     ///
@@ -189,120 +181,6 @@ impl ServeConfig {
             .resolve(&self.backend)
             .map_err(|e| ConfigError::new("backend", e.to_string()))?;
         Ok(())
-    }
-}
-
-/// Builder for [`ServeConfig`] — every setter is fluent, and
-/// [`ServeConfigBuilder::build`] rejects hostile values at construction
-/// instead of at [`start`].
-#[derive(Debug, Clone)]
-#[must_use = "the builder does nothing until build() is called"]
-pub struct ServeConfigBuilder {
-    config: ServeConfig,
-}
-
-impl ServeConfigBuilder {
-    /// Bind address (`"127.0.0.1:0"` for an ephemeral port).
-    pub fn addr(mut self, addr: impl Into<String>) -> Self {
-        self.config.addr = addr.into();
-        self
-    }
-
-    /// Concurrent extraction workers (`0` = one per core).
-    pub fn extract_jobs(mut self, jobs: usize) -> Self {
-        self.config.extract_jobs = jobs;
-        self
-    }
-
-    /// Maximum pending jobs before `POST /extract` answers 503.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Result-cache sizing.
-    pub fn cache(mut self, cache: CacheConfig) -> Self {
-        self.config.cache = cache;
-        self
-    }
-
-    /// Maximum request body bytes.
-    pub fn max_body_bytes(mut self, bytes: usize) -> Self {
-        self.config.max_body_bytes = bytes;
-        self
-    }
-
-    /// How long `?wait` requests may stay pending before the `202`
-    /// fallback.
-    pub fn wait_timeout(mut self, timeout: Duration) -> Self {
-        self.config.wait_timeout = timeout;
-        self
-    }
-
-    /// Maximum concurrently open connections.
-    pub fn max_connections(mut self, connections: usize) -> Self {
-        self.config.max_connections = connections;
-        self
-    }
-
-    /// Per-request read deadline (anti-slowloris).
-    pub fn request_read_deadline(mut self, deadline: Duration) -> Self {
-        self.config.request_read_deadline = deadline;
-        self
-    }
-
-    /// Keep-alive idle timeout between requests.
-    pub fn idle_timeout(mut self, timeout: Duration) -> Self {
-        self.config.idle_timeout = timeout;
-        self
-    }
-
-    /// Graceful-shutdown drain deadline.
-    pub fn drain_deadline(mut self, deadline: Duration) -> Self {
-        self.config.drain_deadline = deadline;
-        self
-    }
-
-    /// Default probe backend spec (operator-side, tape schemes allowed).
-    pub fn backend(mut self, spec: impl Into<String>) -> Self {
-        self.config.backend = spec.into();
-        self
-    }
-
-    /// Whether to serve the fleet cache-peering endpoints
-    /// (`GET`/`PUT /cache/<fingerprint>`).
-    pub fn cache_peering(mut self, enabled: bool) -> Self {
-        self.config.cache_peering = enabled;
-        self
-    }
-
-    /// Newline-JSON span export path (also turns on tracing of every
-    /// request, not only those carrying `x-fastvg-trace`).
-    pub fn trace_out(mut self, path: impl Into<PathBuf>) -> Self {
-        self.config.trace_out = Some(path.into());
-        self
-    }
-
-    /// Fixed trace/span id seed for reproducible replay tests.
-    pub fn trace_seed(mut self, seed: u64) -> Self {
-        self.config.trace_seed = Some(seed);
-        self
-    }
-
-    /// Slow-request log threshold (off by default).
-    pub fn slow_threshold(mut self, threshold: Duration) -> Self {
-        self.config.slow_threshold = Some(threshold);
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first out-of-range field as a [`ConfigError`].
-    pub fn build(self) -> Result<ServeConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -398,9 +276,6 @@ pub struct ExtractService {
     started: Instant,
     parser: ExtractParser,
     tracer: Arc<Tracer>,
-    /// Trace every request (true when `trace_out` is configured), not
-    /// only those that arrive with an `x-fastvg-trace` header.
-    trace_all: bool,
     slow: Option<Arc<SlowLog>>,
 }
 
@@ -622,7 +497,6 @@ impl ExtractService {
             started: Instant::now(),
             parser: ExtractParser::new(&config.backend)?,
             tracer,
-            trace_all: config.trace_out.is_some(),
             slow: config.slow_threshold.map(|t| Arc::new(SlowLog::new(t))),
         })
     }
@@ -630,12 +504,6 @@ impl ExtractService {
     /// The service telemetry (shared with the scheduler).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// The daemon's tracer (span source for `/trace/recent` and the
-    /// `--trace-out` export).
-    pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
     }
 
     fn error_response(&self, rejection: &RequestError) -> Response {
@@ -757,60 +625,38 @@ impl ExtractParser {
     }
 }
 
-/// Emits a child span of `span` that *ends now* and lasted `dur` — the
-/// shape of every phase the handler measures after the fact (socket
-/// read, body parse, response serialization).
-fn emit_child(tracer: &Tracer, span: &ActiveSpan, name: &'static str, dur: Duration) {
-    let ctx = span.context();
-    let dur_us = dur.as_micros() as u64;
-    tracer.emit(
-        ctx.trace,
-        Some(ctx.span),
-        name,
-        fastvg_obs::unix_us().saturating_sub(dur_us),
-        dur_us,
-        Vec::new(),
-    );
+/// Closes a request span (attaching the outcome) and runs the
+/// slow-request check — the one exit point every `/extract` answer
+/// funnels through, inline or deferred.
+fn finish_request(
+    slow: Option<&SlowLog>,
+    span: Option<ActiveSpan>,
+    started: Instant,
+    outcome: &'static str,
+) {
+    let elapsed = started.elapsed();
+    let trace_hex = span.as_ref().map(|s| s.context().trace.to_hex());
+    if let Some(mut span) = span {
+        span.attr("outcome", outcome);
+        span.finish();
+    }
+    if let Some(slow) = slow {
+        slow.observe(elapsed, outcome, trace_hex.as_deref());
+    }
 }
 
 impl ExtractService {
-    /// Opens the daemon's request span for one `/extract` request —
-    /// parented to the incoming `x-fastvg-trace` context when present,
-    /// a fresh root otherwise — or `None` when the request is untraced
-    /// (no header and no `--trace-out`). The span is backdated to the
+    /// Opens the daemon's request span for one `/extract` request under
+    /// [`Tracer::request_span`]'s rule. The span is backdated to the
     /// first byte and gets a `read` child covering the socket read.
     fn request_span(&self, request: &Request) -> Option<ActiveSpan> {
-        let incoming = request.header(TRACE_HEADER).and_then(TraceContext::parse);
-        if incoming.is_none() && !self.trace_all {
-            return None;
-        }
-        let mut span = match incoming {
-            Some(ctx) => self
-                .tracer
-                .start(TraceId(ctx.trace), Some(SpanId(ctx.span)), "request"),
-            None => self.tracer.root("request"),
-        };
+        let mut span = self.tracer.request_span(request.trace_parent())?;
         let read = Duration::from_micros(request.read_us);
         if !read.is_zero() {
             span.backdate(Instant::now() - read);
         }
-        emit_child(&self.tracer, &span, "read", read);
+        span.child_ending_now("read", read, Vec::new());
         Some(span)
-    }
-
-    /// Closes a request span (attaching the outcome) and runs the
-    /// slow-request check — the one exit point every `/extract` answer
-    /// funnels through, inline or deferred.
-    fn finish_request(&self, span: Option<ActiveSpan>, started: Instant, outcome: &'static str) {
-        let elapsed = started.elapsed();
-        let trace_hex = span.as_ref().map(|s| s.context().trace.to_hex());
-        if let Some(mut span) = span {
-            span.attr("outcome", outcome);
-            span.finish();
-        }
-        if let Some(slow) = &self.slow {
-            slow.observe(elapsed, outcome, trace_hex.as_deref());
-        }
     }
 
     fn handle_extract(&self, request: &Request) -> Outcome {
@@ -820,11 +666,11 @@ impl ExtractService {
         let parse_started = Instant::now();
         let parsed = self.parser.parse(request);
         if let Some(span) = &span {
-            emit_child(&self.tracer, span, "parse", parse_started.elapsed());
+            span.child_ending_now("parse", parse_started.elapsed(), Vec::new());
         }
         let outcome = match parsed {
             Err(rejection) => {
-                self.finish_request(span, started, "rejected");
+                finish_request(self.slow.as_deref(), span, started, "rejected");
                 Outcome::Ready(self.error_response(&rejection))
             }
             Ok((mut job, wait)) => {
@@ -872,9 +718,9 @@ impl ExtractService {
                 job_status_response(202, id, status, true)
             };
             if let Some(span) = &span {
-                emit_child(&self.tracer, span, "respond", respond_started.elapsed());
+                span.child_ending_now("respond", respond_started.elapsed(), Vec::new());
             }
-            self.finish_request(span, started, "cache_hit");
+            finish_request(self.slow.as_deref(), span, started, "cache_hit");
             return Outcome::Ready(response);
         }
         self.metrics.cache_misses.inc();
@@ -883,7 +729,7 @@ impl ExtractService {
             Ok(id) => id,
             Err(_) => {
                 self.metrics.queue_rejected.inc();
-                self.finish_request(span, started, "queue_full");
+                finish_request(self.slow.as_deref(), span, started, "queue_full");
                 return Outcome::Ready(self.error_response(&reject(503, "job queue at capacity")));
             }
         };
@@ -894,7 +740,7 @@ impl ExtractService {
             // The job's queue-wait/extract spans still parent to this
             // request span by id after it closes — links are by id, not
             // by lifetime.
-            self.finish_request(span, started, "queued");
+            finish_request(self.slow.as_deref(), span, started, "queued");
             return Outcome::Ready(job_status_response(202, id, "queued", false));
         }
 
@@ -904,7 +750,6 @@ impl ExtractService {
         // `202 queued` instead and the (eventual) completion is dropped.
         let (deferred, completer) = deferred();
         let metrics = Arc::clone(&self.metrics);
-        let tracer = Arc::clone(&self.tracer);
         let slow = self.slow.clone();
         self.queue.on_finished(
             id,
@@ -917,15 +762,10 @@ impl ExtractService {
                     // so the client can still poll a draining daemon.
                     None => (job_status_response(202, id, "queued", false), "stopped"),
                 };
-                let trace_hex = span.as_ref().map(|s| s.context().trace.to_hex());
-                if let Some(mut span) = span {
-                    emit_child(&tracer, &span, "respond", respond_started.elapsed());
-                    span.attr("outcome", outcome);
-                    span.finish();
+                if let Some(span) = &span {
+                    span.child_ending_now("respond", respond_started.elapsed(), Vec::new());
                 }
-                if let Some(slow) = &slow {
-                    slow.observe(started.elapsed(), outcome, trace_hex.as_deref());
-                }
+                finish_request(slow.as_deref(), span, started, outcome);
                 completer.complete(response);
             }),
         );
@@ -1392,35 +1232,69 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_accepts_sane_and_rejects_hostile() {
-        let config = ServeConfig::builder()
-            .addr("127.0.0.1:0")
-            .extract_jobs(2)
-            .queue_capacity(64)
-            .max_connections(512)
-            .wait_timeout(Duration::from_secs(5))
-            .request_read_deadline(Duration::from_secs(10))
-            .idle_timeout(Duration::from_secs(3))
-            .drain_deadline(Duration::from_secs(10))
-            .backend("throttled:1ms")
-            .build()
-            .expect("sane config builds");
-        assert_eq!(config.max_connections, 512);
-        assert_eq!(config.backend, "throttled:1ms");
+    fn validate_accepts_sane_and_rejects_hostile() {
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            extract_jobs: 2,
+            queue_capacity: 64,
+            max_connections: 512,
+            wait_timeout: Duration::from_secs(5),
+            request_read_deadline: Duration::from_secs(10),
+            idle_timeout: Duration::from_secs(3),
+            drain_deadline: Duration::from_secs(10),
+            backend: "throttled:1ms".into(),
+            ..ServeConfig::default()
+        };
+        config.validate().expect("sane config validates");
 
-        let hostile: [(&str, ServeConfigBuilder); 6] = [
-            ("addr", ServeConfig::builder().addr("")),
-            ("queue_capacity", ServeConfig::builder().queue_capacity(0)),
-            ("extract_jobs", ServeConfig::builder().extract_jobs(1 << 20)),
-            ("max_connections", ServeConfig::builder().max_connections(0)),
+        let hostile: [(&str, ServeConfig); 6] = [
+            (
+                "addr",
+                ServeConfig {
+                    addr: String::new(),
+                    ..config.clone()
+                },
+            ),
+            (
+                "queue_capacity",
+                ServeConfig {
+                    queue_capacity: 0,
+                    ..config.clone()
+                },
+            ),
+            (
+                "extract_jobs",
+                ServeConfig {
+                    extract_jobs: 1 << 20,
+                    ..config.clone()
+                },
+            ),
+            (
+                "max_connections",
+                ServeConfig {
+                    max_connections: 0,
+                    ..config.clone()
+                },
+            ),
             (
                 "wait_timeout",
-                ServeConfig::builder().wait_timeout(Duration::ZERO),
+                ServeConfig {
+                    wait_timeout: Duration::ZERO,
+                    ..config.clone()
+                },
             ),
-            ("backend", ServeConfig::builder().backend("nope:xyz")),
+            (
+                "backend",
+                ServeConfig {
+                    backend: "nope:xyz".into(),
+                    ..config.clone()
+                },
+            ),
         ];
-        for (field, builder) in hostile {
-            let err = builder.build().expect_err("hostile value must be rejected");
+        for (field, hostile) in hostile {
+            let err = hostile
+                .validate()
+                .expect_err("hostile value must be rejected");
             assert_eq!(err.field(), field, "{err}");
         }
     }

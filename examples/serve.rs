@@ -14,16 +14,14 @@ use fastvg::serve::{start, ServeConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An ephemeral port keeps the example parallel-safe (CI runs every
-    // example); a real deployment would pin addr and capacities. The
-    // builder validates every field up front — hostile values fail here,
-    // not at bind time.
-    let daemon = start(
-        ServeConfig::builder()
-            .addr("127.0.0.1:0")
-            .max_connections(1024)
-            .idle_timeout(std::time::Duration::from_secs(10))
-            .build()?,
-    )?;
+    // example); a real deployment would pin addr and capacities. `start`
+    // validates every field before binding — hostile values fail here.
+    let daemon = start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        max_connections: 1024,
+        idle_timeout: std::time::Duration::from_secs(10),
+        ..ServeConfig::default()
+    })?;
     println!("daemon listening on http://{}", daemon.addr());
 
     // ClientConfig is the unified transport policy (loadgen and

@@ -142,9 +142,7 @@ pub mod prelude {
     };
     // The service layer and its wire format.
     pub use fastvg_router::{RouterConfig, RouterHandle, ShardSpec};
-    pub use fastvg_serve::{
-        Client, ClientConfig, RemoteExtractor, ServeConfig, ServeConfigBuilder, ServiceHandle,
-    };
+    pub use fastvg_serve::{Client, ClientConfig, RemoteExtractor, ServeConfig, ServiceHandle};
     pub use fastvg_wire::Json;
     // The measurement stack: sessions, sources, and the runtime
     // backend/tape seam.

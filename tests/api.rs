@@ -234,37 +234,33 @@ fn error_sources_chain_to_lower_crates() {
 }
 
 /// `BatchExtractor` accepts any extractor; results through the erased
-/// path are bit-identical to the typed path.
+/// batch path are bit-identical to a direct typed extraction.
 #[test]
 fn batch_runs_any_extractor_deterministically() {
     let suite: Vec<GeneratedBenchmark> = (3..=6)
         .map(|i| paper_benchmark(i).expect("benchmark generates"))
         .collect();
     let runner = BatchExtractor::new().with_jobs(2);
+    let session = |i: usize| MeasurementSession::new(CsdSource::new(suite[i].csd.clone()));
 
-    let typed = runner.run_fast(suite.len(), |i| {
-        MeasurementSession::new(CsdSource::new(suite[i].csd.clone()))
-    });
-    let erased = runner.run(&FastExtractor::new(), suite.len(), |i| {
-        MeasurementSession::new(CsdSource::new(suite[i].csd.clone()))
-    });
-    for (t, e) in typed.iter().zip(&erased) {
-        assert_eq!(t.probes, e.probes);
-        assert_eq!(t.scatter, e.scatter);
-        match (&t.outcome, &e.outcome) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.slope_h.to_bits(), b.slope_h.to_bits());
-                assert_eq!(a.slope_v.to_bits(), b.slope_v.to_bits());
+    let batched = runner.run(&FastExtractor::new(), suite.len(), session);
+    for (i, b) in batched.iter().enumerate() {
+        let mut direct_session = session(i);
+        let direct = FastExtractor::new().extract(&mut direct_session);
+        assert_eq!(direct_session.probe_count(), b.probes);
+        assert_eq!(direct_session.ledger().scatter(), b.scatter);
+        match (&direct, &b.outcome) {
+            (Ok(d), Ok(r)) => {
+                assert_eq!(d.slope_h.to_bits(), r.slope_h.to_bits());
+                assert_eq!(d.slope_v.to_bits(), r.slope_v.to_bits());
             }
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-            _ => panic!("typed and erased outcomes diverged"),
+            (Err(d), Err(r)) => assert_eq!(d.to_string(), r.to_string()),
+            _ => panic!("direct and batched outcomes diverged"),
         }
     }
 
     // A retry-laddered pipeline drops into the same batch path.
     let pipeline = Pipeline::tuned().build();
-    let outcomes = runner.run(&pipeline, suite.len(), |i| {
-        MeasurementSession::new(CsdSource::new(suite[i].csd.clone()))
-    });
+    let outcomes = runner.run(&pipeline, suite.len(), session);
     assert!(outcomes.iter().all(|o| o.is_ok()));
 }
