@@ -484,7 +484,7 @@ impl RouterService {
                 self.metrics.routed_hits.inc();
                 return (self.relay(response, owner_index, None), "cache_hit");
             }
-            // Sibling sweep, warmest-first is unknowable so ring order:
+            // Sibling sweep, warmest-first is unknowable so config order:
             // every healthy shard, not just the retry candidates —
             // peering is a read, it costs nothing to ask.
             let mut found = None;

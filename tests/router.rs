@@ -2,7 +2,8 @@
 //! from a single daemon (bitwise on the deterministic report fields,
 //! byte-identical on cache hits), survives a mid-suite shard kill with
 //! zero failed requests, and peers warm caches onto freshly joined
-//! shards. (The ring/health/proxy unit matrix lives in `crates/router`.)
+//! shards in 2- and 4-shard fleets. (The ring/health/proxy unit matrix
+//! lives in `crates/router`.)
 
 use fastvg::prelude::*;
 use fastvg::router::{start as start_router, RouterConfig, ShardSpec};
@@ -245,4 +246,51 @@ fn router_matches_direct_daemon_and_survives_shard_kill() {
     fresh.shutdown();
     survivor.join();
     fresh.join();
+}
+
+/// Peering in a 4-shard fleet: a daemon warmed through a 1-shard router
+/// joins three empty daemons, listed last. The sibling sweep walks the
+/// healthy shards in config order, so every key an empty shard owns is
+/// found only after probing the two other cold siblings first.
+#[test]
+fn four_shard_fleet_peers_past_cold_siblings() {
+    let warm = daemon();
+    let warm_fleet = router_over(&[&warm]);
+    let warmed = sweep(&mut Client::connect(&warm_fleet.addr().to_string()).expect("connect"));
+    warm_fleet.shutdown();
+    warm_fleet.join();
+
+    let empty = [daemon(), daemon(), daemon()];
+    let fleet = router_over(&[&empty[0], &empty[1], &empty[2], &warm]);
+    let mut via_fleet = Client::connect(&fleet.addr().to_string()).expect("connect fleet");
+    let peered = sweep(&mut via_fleet);
+    for (bench, (p, w)) in peered.iter().zip(&warmed).enumerate() {
+        assert!(
+            p.cache == "hit" || p.cache == "peer",
+            "benchmark {} recomputed despite a warm sibling (cache={})",
+            bench + 1,
+            p.cache
+        );
+        assert_eq!(
+            p.body,
+            w.body,
+            "benchmark {} must replay the warm sweep's bytes",
+            bench + 1
+        );
+    }
+    assert!(
+        peered.iter().any(|r| r.cache == "peer"),
+        "three empty owners out of four must peer some of 12 keys"
+    );
+    let sealed = sweep(&mut via_fleet);
+    for (bench, r) in sealed.iter().enumerate() {
+        assert_eq!(r.cache, "hit", "benchmark {} owner not seeded", bench + 1);
+    }
+
+    fleet.shutdown();
+    fleet.join();
+    for d in empty.into_iter().chain([warm]) {
+        d.shutdown();
+        d.join();
+    }
 }
