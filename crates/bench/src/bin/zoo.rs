@@ -131,8 +131,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = run_all(&HoughBaseline::new());
 
     // The hwsim bus cost of each fast run, recomputed from its scatter
-    // (with the session cache on, the scatter *is* the dwell-costing
-    // probe sequence).
+    // (the session caches every pixel, so the scatter *is* the
+    // dwell-costing probe sequence).
     let bus_times: Vec<Duration> = scenarios
         .iter()
         .zip(&benches)

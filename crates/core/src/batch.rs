@@ -68,7 +68,7 @@
 use crate::api::{extract_with, ExtractionReport, Extractor};
 use crate::ExtractError;
 use mini_rayon::ThreadPool;
-use qd_instrument::{CurrentSource, MeasurementSession};
+use qd_instrument::{CurrentSource, MeasurementSession, ProbeSession};
 use std::time::{Duration, Instant};
 
 /// Everything one batch job produced: the extraction outcome plus the
@@ -169,7 +169,7 @@ impl BatchExtractor {
                 unique_pixels: session.unique_pixels(),
                 coverage: session.coverage(),
                 simulated_dwell: session.simulated_dwell(),
-                scatter: session.ledger().scatter(),
+                scatter: session.scatter(),
                 outcome,
             }
         })

@@ -328,8 +328,7 @@ fn line_support(fit: &SlopeFit, points: &[Pixel]) -> f64 {
 
 /// Fraction of probed pixels whose reading is exactly `0.0` — the
 /// dead-channel rail (see `ExtractorConfig::max_zero_fraction`). Every
-/// re-read is a cache hit on a caching session: no dwell, no ledger
-/// entry.
+/// re-read is a session cache hit: no dwell, no new ledger entry.
 fn zero_rail_fraction<P: ProbeSession + ?Sized>(session: &mut P) -> f64 {
     let w = session.window();
     let scatter = session.scatter();

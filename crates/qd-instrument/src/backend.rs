@@ -203,8 +203,8 @@ pub trait SourceBackend: Send + Sync {
     /// (unreadable tape, unwritable tape path, …).
     fn open(&self, scenario: SourceScenario) -> Result<BoxedSource, BackendError>;
 
-    /// Opens a source and wraps it in a caching [`MeasurementSession`]
-    /// — the common consumer-side one-liner.
+    /// Opens a source and wraps it in a [`MeasurementSession`] — the
+    /// common consumer-side one-liner.
     ///
     /// # Errors
     ///

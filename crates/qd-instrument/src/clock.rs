@@ -4,9 +4,9 @@
 //! milliseconds (50 ms in the paper's evaluation, citing Zajac's thesis)
 //! while the heavily filtered bias lines settle. Sleeping for real would
 //! make the benchmark suite take the same hours the hardware does, so the
-//! clock is *virtual* by default: it adds up what the wall-clock time
-//! *would have been*. An opt-in real-sleep mode exists for demos that want
-//! hardware-faithful pacing.
+//! clock is *virtual*: it adds up what the wall-clock time *would have
+//! been*. Real pacing is a source's job: [`crate::ThrottledSource`]
+//! (`throttled:<dwell>`) sleeps its dwell on every probe.
 
 use std::time::Duration;
 
@@ -15,7 +15,6 @@ use std::time::Duration;
 pub struct DwellClock {
     dwell: Duration,
     ticks: u64,
-    real_sleep: bool,
 }
 
 impl DwellClock {
@@ -24,11 +23,7 @@ impl DwellClock {
 
     /// Creates a virtual clock with the given per-probe dwell.
     pub fn new(dwell: Duration) -> Self {
-        Self {
-            dwell,
-            ticks: 0,
-            real_sleep: false,
-        }
+        Self { dwell, ticks: 0 }
     }
 
     /// Creates a clock with the paper's 50 ms dwell.
@@ -36,20 +31,9 @@ impl DwellClock {
         Self::new(Self::PAPER_DWELL)
     }
 
-    /// Switches to real sleeping: every [`DwellClock::tick`] blocks for the
-    /// dwell duration. Only sensible for small interactive demos.
-    #[must_use]
-    pub fn with_real_sleep(mut self, enable: bool) -> Self {
-        self.real_sleep = enable;
-        self
-    }
-
-    /// Accounts one probe (and sleeps, in real-sleep mode).
+    /// Accounts one probe.
     pub fn tick(&mut self) {
         self.ticks += 1;
-        if self.real_sleep {
-            std::thread::sleep(self.dwell);
-        }
     }
 
     /// Number of probes accounted so far.
@@ -65,11 +49,6 @@ impl DwellClock {
     /// Total simulated dwell time accrued (`ticks × dwell`).
     pub fn elapsed(&self) -> Duration {
         self.dwell.saturating_mul(self.ticks as u32)
-    }
-
-    /// Resets the tick counter.
-    pub fn reset(&mut self) {
-        self.ticks = 0;
     }
 }
 
@@ -102,15 +81,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_ticks() {
-        let mut c = DwellClock::paper();
-        c.tick();
-        c.reset();
-        assert_eq!(c.ticks(), 0);
-        assert_eq!(c.elapsed(), Duration::ZERO);
-    }
-
-    #[test]
     fn virtual_mode_does_not_sleep() {
         let mut c = DwellClock::new(Duration::from_secs(60));
         let start = std::time::Instant::now();
@@ -119,16 +89,6 @@ mod tests {
         }
         assert!(start.elapsed() < Duration::from_secs(1));
         assert_eq!(c.elapsed(), Duration::from_secs(6000));
-    }
-
-    #[test]
-    fn real_sleep_actually_sleeps() {
-        let mut c = DwellClock::new(Duration::from_millis(5)).with_real_sleep(true);
-        let start = std::time::Instant::now();
-        for _ in 0..4 {
-            c.tick();
-        }
-        assert!(start.elapsed() >= Duration::from_millis(20));
     }
 
     #[test]

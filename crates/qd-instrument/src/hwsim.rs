@@ -31,7 +31,7 @@
 //! hash of `(pixel, seed)`, drift advances one sample per dwell-costing
 //! probe, and the bus/DAC models contain no randomness at all.
 //!
-//! Bus time is *virtual* (accounted, never slept — like the default
+//! Bus time is *virtual* (accounted, never slept — like
 //! [`crate::DwellClock`]): [`HwSimSource::bus`] accumulates it per
 //! source, and [`HwSimProfile::scatter_cost`] recomputes it from a
 //! probe scatter after the fact, which is how the `fastvg-zoo` harness
@@ -480,9 +480,10 @@ impl HwSimProfile {
 
     /// Recomputes the total bus cost of a dwell-costing probe sequence
     /// (e.g. a session's scatter: unique pixels in first-probe order)
-    /// over `window`. With the session cache on, every dwell-costing
-    /// probe is a pixel's first probe, so this reproduces exactly what
-    /// an [`HwSimSource`] accumulated — without keeping the source.
+    /// over `window`. The session caches every pixel, so every
+    /// dwell-costing probe is a pixel's first probe, and this reproduces
+    /// exactly what an [`HwSimSource`] accumulated — without keeping the
+    /// source.
     pub fn scatter_cost(&self, window: &VoltageWindow, pixels: &[(i64, i64)]) -> Duration {
         let dac = self.dac_for(window);
         let mut prev = None;

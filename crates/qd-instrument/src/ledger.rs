@@ -1,91 +1,73 @@
-//! Probe bookkeeping: every measured pixel, in measurement order.
+//! Probe bookkeeping: the session's one pixel table.
 //!
-//! Table 1's "number/percentage of points probed" and Figure 7's probed-
-//! point scatter both come straight out of this ledger.
+//! Table 1's "number/percentage of points probed", Figure 7's probed-
+//! point scatter and the measurement cache all come straight out of this
+//! ledger: a window-sized index over the probed pixels and their first
+//! readings.
 
-use std::collections::HashSet;
+use crate::VoltageWindow;
 
-/// One recorded probe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbeEvent {
-    /// Quantized pixel x (column) index.
-    pub px: i64,
-    /// Quantized pixel y (row) index.
-    pub py: i64,
-    /// Voltages actually requested.
-    pub v1: f64,
-    /// Voltages actually requested.
-    pub v2: f64,
-}
-
-/// Ordered record of probes with a unique-pixel index.
-#[derive(Debug, Clone, Default)]
-pub struct ProbeLedger {
-    events: Vec<ProbeEvent>,
-    unique: HashSet<(i64, i64)>,
+/// Every probed pixel of one window with its first reading, in
+/// first-probe order, behind a dense row-major index.
+#[derive(Debug)]
+pub(crate) struct ProbeLedger {
+    /// One entry per window pixel: 0 when unprobed, otherwise 1 + the
+    /// pixel's position in `probed`.
+    index: Vec<u32>,
+    width: usize,
+    probed: Vec<((i64, i64), f64)>,
 }
 
 impl ProbeLedger {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty ledger over every pixel of `window` (4 bytes a pixel).
+    pub(crate) fn new(window: &VoltageWindow) -> Self {
+        Self {
+            index: vec![0; window.len()],
+            width: window.width_px(),
+            probed: Vec::new(),
+        }
     }
 
-    /// Records a probe at quantized pixel `(px, py)` for requested
-    /// voltages `(v1, v2)`. Returns `true` if the pixel was new.
-    pub fn record(&mut self, px: i64, py: i64, v1: f64, v2: f64) -> bool {
-        self.events.push(ProbeEvent { px, py, v1, v2 });
-        self.unique.insert((px, py))
+    /// Row-major slot of an in-window pixel, as
+    /// [`VoltageWindow::quantize`] returns it.
+    fn slot(&self, (x, y): (i64, i64)) -> usize {
+        y as usize * self.width + x as usize
     }
 
-    /// Whether a pixel has been probed before.
-    pub fn contains(&self, px: i64, py: i64) -> bool {
-        self.unique.contains(&(px, py))
+    /// The first reading of `pixel`, or `None` if it was never probed.
+    pub(crate) fn reading(&self, pixel: (i64, i64)) -> Option<f64> {
+        match self.index[self.slot(pixel)] {
+            0 => None,
+            n => Some(self.probed[n as usize - 1].1),
+        }
     }
 
-    /// Total probes recorded (including re-probes of the same pixel).
-    pub fn total_probes(&self) -> usize {
-        self.events.len()
+    /// Records the first reading of a pixel not probed before.
+    pub(crate) fn record(&mut self, pixel: (i64, i64), reading: f64) {
+        let slot = self.slot(pixel);
+        debug_assert_eq!(self.index[slot], 0, "pixel {pixel:?} recorded twice");
+        self.probed.push((pixel, reading));
+        self.index[slot] = self.probed.len() as u32;
     }
 
     /// Distinct pixels probed.
-    pub fn unique_pixels(&self) -> usize {
-        self.unique.len()
-    }
-
-    /// Probes in measurement order.
-    pub fn events(&self) -> &[ProbeEvent] {
-        &self.events
+    pub(crate) fn len(&self) -> usize {
+        self.probed.len()
     }
 
     /// Distinct probed pixels as `(x, y)` pairs, in first-probe order —
     /// exactly the Figure 7 scatter data.
-    pub fn scatter(&self) -> Vec<(i64, i64)> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for e in &self.events {
-            if seen.insert((e.px, e.py)) {
-                out.push((e.px, e.py));
-            }
-        }
-        out
+    pub(crate) fn scatter(&self) -> Vec<(i64, i64)> {
+        self.probed.iter().map(|&(pixel, _)| pixel).collect()
     }
 
-    /// Fraction of an `n_total`-pixel diagram that was probed (the
-    /// "percentage of points probed" column of Table 1).
-    ///
-    /// Returns 0 for an empty diagram.
-    pub fn coverage(&self, n_total: usize) -> f64 {
-        if n_total == 0 {
+    /// Fraction of the window probed (the "percentage of points probed"
+    /// column of Table 1). Returns 0 for an empty window.
+    pub(crate) fn coverage(&self) -> f64 {
+        if self.index.is_empty() {
             return 0.0;
         }
-        self.unique_pixels() as f64 / n_total as f64
-    }
-
-    /// Clears all records.
-    pub fn reset(&mut self) {
-        self.events.clear();
-        self.unique.clear();
+        self.probed.len() as f64 / self.index.len() as f64
     }
 }
 
@@ -93,54 +75,47 @@ impl ProbeLedger {
 mod tests {
     use super::*;
 
+    fn ledger() -> ProbeLedger {
+        ProbeLedger::new(&VoltageWindow {
+            x_min: 0.0,
+            y_min: 0.0,
+            x_max: 9.0,
+            y_max: 4.0,
+            delta: 1.0,
+        })
+    }
+
     #[test]
-    fn record_tracks_totals_and_uniques() {
-        let mut l = ProbeLedger::new();
-        assert!(l.record(1, 2, 1.0, 2.0));
-        assert!(!l.record(1, 2, 1.0, 2.0));
-        assert!(l.record(3, 4, 3.0, 4.0));
-        assert_eq!(l.total_probes(), 3);
-        assert_eq!(l.unique_pixels(), 2);
-        assert!(l.contains(1, 2));
-        assert!(!l.contains(9, 9));
+    fn table_holds_first_readings_up_to_every_edge() {
+        let mut l = ledger();
+        let corners = [(0, 0), (9, 0), (0, 4), (9, 4)];
+        for (i, &pixel) in corners.iter().enumerate() {
+            assert_eq!(l.reading(pixel), None);
+            l.record(pixel, i as f64);
+        }
+        for (i, &pixel) in corners.iter().enumerate() {
+            assert_eq!(l.reading(pixel), Some(i as f64));
+        }
+        assert_eq!((l.reading((1, 0)), l.reading((0, 1))), (None, None));
+        assert_eq!(l.len(), 4);
     }
 
     #[test]
     fn scatter_preserves_first_probe_order() {
-        let mut l = ProbeLedger::new();
-        l.record(5, 5, 5.0, 5.0);
-        l.record(1, 1, 1.0, 1.0);
-        l.record(5, 5, 5.0, 5.0);
-        l.record(2, 2, 2.0, 2.0);
-        assert_eq!(l.scatter(), vec![(5, 5), (1, 1), (2, 2)]);
+        let mut l = ledger();
+        l.record((5, 3), 5.0);
+        l.record((1, 1), 1.0);
+        l.record((2, 2), 2.0);
+        assert_eq!(l.scatter(), vec![(5, 3), (1, 1), (2, 2)]);
     }
 
     #[test]
     fn coverage_fraction() {
-        let mut l = ProbeLedger::new();
-        for i in 0..10 {
-            l.record(i, 0, i as f64, 0.0);
+        let mut l = ledger();
+        assert_eq!(l.coverage(), 0.0);
+        for x in 0..5 {
+            l.record((x, 0), x as f64);
         }
-        assert!((l.coverage(100) - 0.10).abs() < 1e-12);
-        assert_eq!(l.coverage(0), 0.0);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut l = ProbeLedger::new();
-        l.record(1, 1, 1.0, 1.0);
-        l.reset();
-        assert_eq!(l.total_probes(), 0);
-        assert_eq!(l.unique_pixels(), 0);
-        assert!(l.scatter().is_empty());
-    }
-
-    #[test]
-    fn events_expose_raw_voltages() {
-        let mut l = ProbeLedger::new();
-        l.record(2, 3, 2.4, 3.1);
-        let e = l.events()[0];
-        assert_eq!((e.px, e.py), (2, 3));
-        assert_eq!((e.v1, e.v2), (2.4, 3.1));
+        assert!((l.coverage() - 0.10).abs() < 1e-12);
     }
 }

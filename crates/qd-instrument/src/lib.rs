@@ -9,13 +9,12 @@
 //!   by [`CsdSource`] (replay a recorded/synthetic diagram, what the paper
 //!   does with qflow data) and [`PhysicsSource`] (live constant-interaction
 //!   model with optional noise).
-//! * [`DwellClock`] — a virtual clock accruing one dwell per probe, with an
-//!   opt-in real-sleep mode for timing-faithful demos.
-//! * [`ProbeLedger`] — records every probed pixel in order, for the probe
-//!   counts in Table 1 and the scatter plots of Figure 7.
-//! * [`MeasurementSession`] — glues the three together and adds an optional
-//!   measurement cache (re-probing a pixel costs nothing, as in the paper's
-//!   simulated evaluation).
+//! * [`DwellClock`] — a virtual clock accruing one dwell per probe;
+//!   [`ThrottledSource`] is the source that paces probes in real time.
+//! * [`MeasurementSession`] — a source plus one window-sized pixel table
+//!   that is at once the measurement cache (re-probing a pixel costs
+//!   nothing, as in the paper's simulated evaluation), the probe counts of
+//!   Table 1 and the probed-pixel scatter of Figure 7.
 //! * [`SourceBackend`] + [`BackendRegistry`] — runtime probe-source
 //!   selection behind one object-safe seam: `sim`, `throttled:<dwell>`,
 //!   `replay:<tape>`, `record:<tape>[+inner]`, plus embedder-registered
@@ -60,7 +59,7 @@
 pub mod backend;
 pub mod clock;
 pub mod hwsim;
-pub mod ledger;
+mod ledger;
 pub mod mux;
 pub mod scan;
 pub mod session;
@@ -76,7 +75,6 @@ pub use clock::DwellClock;
 pub use hwsim::{
     BusStats, DacChannel, DacModel, HwSimBackend, HwSimPreset, HwSimProfile, HwSimSource,
 };
-pub use ledger::{ProbeEvent, ProbeLedger};
 pub use mux::{
     ChannelPool, ChannelStats, EquiDifference, MultiplexedBackend, MuxConfig, MuxPolicy, MuxSource,
     MuxStats, ProbeScheduler, RoundRobin, SessionWait,

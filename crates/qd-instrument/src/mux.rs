@@ -15,8 +15,8 @@
 //! is where a throttled inner backend's real sleep lands, and it
 //! overlaps freely across sessions), and the channel's dwell slot (the
 //! shared resource the scheduler hands out). Slot accounting is
-//! *virtual time* on a shared [`DwellClock`], exactly like the session
-//! dwell clock: deterministic in the probe sequence and the session's
+//! *virtual time* on a shared [`DwellClock`], exactly like the session's
+//! dwell: deterministic in the probe sequence and the session's
 //! preassigned codeword, never in thread timing. Readings pass through
 //! the inner source untouched, so a multiplexed run is bit-identical to
 //! an unmultiplexed one — only wall clock and contention accounting

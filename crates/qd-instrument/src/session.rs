@@ -1,7 +1,7 @@
-//! The measurement session: source + dwell clock + ledger + cache.
+//! The measurement session: a source plus its one pixel table.
 
-use crate::{CurrentSource, DwellClock, ProbeLedger, VoltageWindow};
-use std::collections::HashMap;
+use crate::ledger::ProbeLedger;
+use crate::{CurrentSource, DwellClock, VoltageWindow};
 use std::time::Duration;
 
 /// Object-safe view of a measurement session: probing plus the
@@ -67,7 +67,7 @@ impl<S: CurrentSource> ProbeSession for MeasurementSession<S> {
     }
 
     fn scatter(&self) -> Vec<(i64, i64)> {
-        self.ledger().scatter()
+        self.ledger.scatter()
     }
 
     fn remaining_budget(&self) -> Option<usize> {
@@ -77,49 +77,30 @@ impl<S: CurrentSource> ProbeSession for MeasurementSession<S> {
 
 /// A stateful measurement session wrapping a [`CurrentSource`].
 ///
-/// Every *new* pixel probed costs one dwell tick and one ledger entry.
-/// With caching enabled (the default, matching the paper's simulated
-/// evaluation) re-probing a pixel returns the stored value for free; with
-/// caching disabled every call costs a dwell, as on hardware where drift
-/// makes re-measurement meaningful.
+/// Every *new* pixel probed costs one dwell and one ledger entry;
+/// re-probing a pixel returns its first reading for free, as in the
+/// paper's simulated evaluation. One window-sized pixel table answers the
+/// cache lookup, the probe counts, coverage and the Figure 7 scatter. The
+/// session's dwell is virtual; [`crate::ThrottledSource`] is the source
+/// that paces probes in real time.
 #[derive(Debug)]
 pub struct MeasurementSession<S> {
     source: S,
     window: VoltageWindow,
-    clock: DwellClock,
     ledger: ProbeLedger,
-    cache: HashMap<(i64, i64), f64>,
-    caching: bool,
-    cache_hits: u64,
     budget: Option<usize>,
 }
 
 impl<S: CurrentSource> MeasurementSession<S> {
-    /// Creates a session with the paper's 50 ms dwell and caching on.
+    /// Creates a session with the paper's 50 ms dwell.
     pub fn new(source: S) -> Self {
-        Self::with_clock(source, DwellClock::paper())
-    }
-
-    /// Creates a session with a custom dwell clock.
-    pub fn with_clock(source: S, clock: DwellClock) -> Self {
         let window = source.window();
         Self {
+            ledger: ProbeLedger::new(&window),
             source,
             window,
-            clock,
-            ledger: ProbeLedger::new(),
-            cache: HashMap::new(),
-            caching: true,
-            cache_hits: 0,
             budget: None,
         }
-    }
-
-    /// Enables or disables the measurement cache (builder style).
-    #[must_use]
-    pub fn caching(mut self, enable: bool) -> Self {
-        self.caching = enable;
-        self
     }
 
     /// Caps the number of dwell-costing probes (builder style). Once the
@@ -135,38 +116,30 @@ impl<S: CurrentSource> MeasurementSession<S> {
 
     /// Probes left before the budget trips, or `None` if uncapped.
     pub fn remaining_budget(&self) -> Option<usize> {
-        self.budget
-            .map(|b| b.saturating_sub(self.ledger.total_probes()))
+        self.budget.map(|b| b.saturating_sub(self.probe_count()))
     }
 
     /// The paper's `getCurrent(v1, v2)`: quantizes to the source's pixel
-    /// grid, accounts one dwell for uncached pixels, records the probe,
-    /// and returns the sensor current.
+    /// grid and returns the pixel's reading — from the table when it was
+    /// probed before, otherwise from the source at one dwell's cost.
     ///
     /// # Panics
     ///
     /// Panics if a probe budget was set with
     /// [`MeasurementSession::with_probe_budget`] and is exhausted.
     pub fn get_current(&mut self, v1: f64, v2: f64) -> f64 {
-        let key = self.window.quantize(v1, v2);
-        if self.caching {
-            if let Some(&v) = self.cache.get(&key) {
-                self.cache_hits += 1;
-                return v;
-            }
+        let pixel = self.window.quantize(v1, v2);
+        if let Some(value) = self.ledger.reading(pixel) {
+            return value;
         }
         if let Some(budget) = self.budget {
             assert!(
-                self.ledger.total_probes() < budget,
+                self.probe_count() < budget,
                 "probe budget of {budget} exhausted"
             );
         }
-        self.clock.tick();
-        self.ledger.record(key.0, key.1, v1, v2);
         let value = self.source.current(v1, v2);
-        if self.caching {
-            self.cache.insert(key, value);
-        }
+        self.ledger.record(pixel, value);
         value
     }
 
@@ -175,52 +148,30 @@ impl<S: CurrentSource> MeasurementSession<S> {
         self.window
     }
 
-    /// Dwell-costing probes so far (Table 1's "points probed").
+    /// Dwell-costing probes so far (Table 1's "points probed"): one per
+    /// distinct pixel.
     pub fn probe_count(&self) -> usize {
-        self.ledger.total_probes()
+        self.ledger.len()
     }
 
     /// Distinct pixels probed.
     pub fn unique_pixels(&self) -> usize {
-        self.ledger.unique_pixels()
-    }
-
-    /// Cache hits (free re-probes).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
+        self.ledger.len()
     }
 
     /// Fraction of the window probed.
     pub fn coverage(&self) -> f64 {
-        self.ledger.coverage(self.window.len())
+        self.ledger.coverage()
     }
 
-    /// Simulated dwell time accrued (`probes × dwell`).
+    /// Simulated dwell time accrued (`probes × 50 ms`).
     pub fn simulated_dwell(&self) -> Duration {
-        self.clock.elapsed()
-    }
-
-    /// The probe ledger (for Figure 7 scatters and trace inspection).
-    pub fn ledger(&self) -> &ProbeLedger {
-        &self.ledger
+        DwellClock::PAPER_DWELL.saturating_mul(self.probe_count() as u32)
     }
 
     /// Borrows the underlying source.
     pub fn source(&self) -> &S {
         &self.source
-    }
-
-    /// Consumes the session, returning the source and the ledger.
-    pub fn into_parts(self) -> (S, ProbeLedger) {
-        (self.source, self.ledger)
-    }
-
-    /// Clears ledger, clock and cache, keeping the source.
-    pub fn reset(&mut self) {
-        self.ledger.reset();
-        self.clock.reset();
-        self.cache.clear();
-        self.cache_hits = 0;
     }
 }
 
@@ -254,10 +205,9 @@ mod tests {
     #[test]
     fn cached_reprobe_is_free() {
         let mut s = session();
-        let _ = s.get_current(1.0, 2.0);
-        let _ = s.get_current(1.0, 2.0);
+        assert_eq!(s.get_current(1.0, 2.0), 12.0);
+        assert_eq!(s.get_current(1.0, 2.0), 12.0);
         assert_eq!(s.probe_count(), 1);
-        assert_eq!(s.cache_hits(), 1);
         assert_eq!(s.simulated_dwell(), Duration::from_millis(50));
     }
 
@@ -271,41 +221,12 @@ mod tests {
     }
 
     #[test]
-    fn caching_disabled_reprobes() {
-        let mut s = session().caching(false);
-        let _ = s.get_current(1.0, 2.0);
-        let _ = s.get_current(1.0, 2.0);
-        assert_eq!(s.probe_count(), 2);
-        assert_eq!(s.unique_pixels(), 1);
-        assert_eq!(s.cache_hits(), 0);
-    }
-
-    #[test]
     fn coverage_over_window() {
         let mut s = session();
         for x in 0..10 {
             let _ = s.get_current(x as f64, 0.0);
         }
         assert!((s.coverage() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_clears_state_but_keeps_source() {
-        let mut s = session();
-        let _ = s.get_current(3.0, 3.0);
-        s.reset();
-        assert_eq!(s.probe_count(), 0);
-        assert_eq!(s.cache_hits(), 0);
-        assert_eq!(s.get_current(3.0, 3.0), 33.0);
-    }
-
-    #[test]
-    fn into_parts_returns_ledger() {
-        let mut s = session();
-        let _ = s.get_current(4.0, 5.0);
-        let (_, ledger) = s.into_parts();
-        assert_eq!(ledger.total_probes(), 1);
-        assert_eq!(ledger.scatter(), vec![(4, 5)]);
     }
 
     #[test]
@@ -352,14 +273,5 @@ mod tests {
         assert_eq!(dyn_s.scatter(), vec![(1, 2)]);
         assert_eq!(dyn_s.window().delta, 1.0);
         assert!(dyn_s.remaining_budget().is_none());
-    }
-
-    #[test]
-    fn custom_clock_dwell() {
-        let src = FnSource::new(|_, _| 0.0, window());
-        let mut s = MeasurementSession::with_clock(src, DwellClock::new(Duration::from_millis(10)));
-        let _ = s.get_current(0.0, 0.0);
-        let _ = s.get_current(1.0, 0.0);
-        assert_eq!(s.simulated_dwell(), Duration::from_millis(20));
     }
 }

@@ -26,6 +26,11 @@ use std::time::Duration;
 /// Format version emitted in the header's `"fastvg_tape"` member.
 pub const TAPE_VERSION: u64 = 1;
 
+/// The largest window a tape header may declare: 4096² pixels. A
+/// replaying session allocates a 4-byte table entry per window pixel, so
+/// this caps it at 64 MB.
+const MAX_WINDOW_PIXELS: f64 = (1u64 << 24) as f64;
+
 /// A malformed, unreadable or unwritable tape.
 #[derive(Debug)]
 pub struct TapeError {
@@ -167,6 +172,15 @@ impl TapeHeader {
         };
         if window.delta <= 0.0 || window.x_max < window.x_min || window.y_max < window.y_min {
             return Err(TapeError::new("tape: degenerate voltage window"));
+        }
+        // In f64, so that no extent can overflow `width_px()` first.
+        let extent = |lo: f64, hi: f64| ((hi - lo) / window.delta).round() + 1.0;
+        if extent(window.x_min, window.x_max) * extent(window.y_min, window.y_max)
+            > MAX_WINDOW_PIXELS
+        {
+            return Err(TapeError::new(format!(
+                "tape: voltage window exceeds the {MAX_WINDOW_PIXELS} pixel cap (4096 x 4096)"
+            )));
         }
         let dwell = json
             .get("dwell_ns")
@@ -727,16 +741,25 @@ mod tests {
             .unwrap()
             .to_string();
         let bad_probe = format!("{header_only}\n{{\"v1\": 1.0}}\n");
+        // A 10⁹ × 10⁹-pixel window, whose pixel table could not be
+        // allocated; the same header over a 10 × 10 window parses.
+        let oversized = "{\"fastvg_tape\": 1, \"label\": \"x\", \"dwell_ns\": 0, \"seed\": 0, \
+            \"window\": {\"x_min\": 0, \"y_min\": 0, \"x_max\": 1e6, \"y_max\": 1e6, \
+            \"delta\": 0.001}}";
+        assert!(Tape::parse(&oversized.replace("1e6", "0.009")).is_ok());
         for text in [
             "",
             "{}",
             "not json",
             "{\"fastvg_tape\": 99, \"label\": \"x\"}",
             bad_probe.as_str(), // good header, malformed probe line
+            oversized,
         ] {
             let err = Tape::parse(text).unwrap_err();
             assert!(!err.to_string().is_empty(), "{text:?}");
         }
+        let err = Tape::parse(oversized).unwrap_err().to_string();
+        assert!(err.contains("16777216 pixel cap"), "{err}");
     }
 
     #[test]

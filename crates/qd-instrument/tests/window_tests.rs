@@ -66,11 +66,11 @@ fn window_from_grid_round_trips_through_source() {
 fn coverage_accounts_only_unique_pixels() {
     let grid = VoltageGrid::new(0.0, 0.0, 1.0, 10, 10).expect("grid");
     let csd = qd_csd::Csd::constant(grid, 1.0).expect("csd");
-    let mut session = MeasurementSession::new(CsdSource::new(csd)).caching(false);
+    let mut session = MeasurementSession::new(CsdSource::new(csd));
     for _ in 0..5 {
-        let _ = session.get_current(2.0, 2.0); // same pixel, 5 dwells
+        let _ = session.get_current(2.0, 2.0); // same pixel, 1 dwell
     }
-    assert_eq!(session.probe_count(), 5);
+    assert_eq!(session.probe_count(), 1);
     assert_eq!(session.unique_pixels(), 1);
     assert!((session.coverage() - 0.01).abs() < 1e-12);
 }

@@ -122,7 +122,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         device.current(&[v1, v2]).expect("valid gate vector")
     })?;
     let probed: Vec<Pixel> = session
-        .ledger()
         .scatter()
         .into_iter()
         .map(|(x, y)| Pixel::new(x as usize, y as usize))

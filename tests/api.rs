@@ -248,7 +248,7 @@ fn batch_runs_any_extractor_deterministically() {
         let mut direct_session = session(i);
         let direct = FastExtractor::new().extract(&mut direct_session);
         assert_eq!(direct_session.probe_count(), b.probes);
-        assert_eq!(direct_session.ledger().scatter(), b.scatter);
+        assert_eq!(direct_session.scatter(), b.scatter);
         match (&direct, &b.outcome) {
             (Ok(d), Ok(r)) => {
                 assert_eq!(d.slope_h.to_bits(), r.slope_h.to_bits());
