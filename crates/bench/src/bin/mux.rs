@@ -18,12 +18,16 @@
 //!
 //! A final pass re-runs the contended (K=4, N=1) config under the
 //! equi-difference scheduler: bytes must not move (scheduler choice is
-//! accounting, not physics), while the pool's virtual counters show
-//! the CAC codewords' burst pacing (clean vs stalled acquires).
+//! accounting, not physics), while the pool's slot counters show the
+//! CAC codewords' burst pacing (clean vs stalled acquires).
 //!
-//! `--gate` exits non-zero unless every config is bit-identical and
-//! the contended config holds the overlap floor — the shared-channel
-//! counterpart of the Table 1 gate.
+//! `--gate` exits non-zero unless every config is bit-identical, the
+//! contended config holds the overlap floor, and at that config `ed`
+//! records more clean and fewer stalled acquires than `rr` — so a
+//! schedule that collapsed `ed` into round-robin fails too. That margin
+//! does not hinge on seat order: `rr` is clean only on the first probe
+//! of a rank-0 session, `ed` on `w − 1` of every `w` probes. It is the
+//! shared-channel counterpart of the Table 1 gate.
 
 use fastvg_bench::{fmt_secs, run_method, Artifacts, BenchArgs, MethodRun, Tee};
 use fastvg_core::extraction::FastExtractor;
@@ -320,16 +324,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if gate {
         let overlap_ok = contended.overlap >= GATE_MIN_OVERLAP;
-        if !(all_identical && overlap_ok) {
+        let schedule_ok = ed_clean > rr_clean && ed_stalled < rr_stalled;
+        if !(all_identical && overlap_ok && schedule_ok) {
             eprintln!(
                 "mux gate FAILED: bit-identical {all_identical} (need true at every (K, N)), \
-                 contended overlap {:.3} (need >= {GATE_MIN_OVERLAP})",
+                 contended overlap {:.3} (need >= {GATE_MIN_OVERLAP}), \
+                 ed {ed_clean} clean / {ed_stalled} stalled vs rr {rr_clean} / {rr_stalled} \
+                 (need more clean and fewer stalled)",
                 contended.overlap
             );
             std::process::exit(1);
         }
         println!(
-            "mux gate passed: bit-identical at every (K, N), contended overlap {:.2}x",
+            "mux gate passed: bit-identical at every (K, N), contended overlap {:.2}x, \
+             ed paces {ed_clean} clean / {ed_stalled} stalled vs rr {rr_clean} / {rr_stalled}",
             contended.overlap
         );
     }

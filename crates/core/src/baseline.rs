@@ -356,9 +356,13 @@ mod tests {
     use qd_instrument::{CsdSource, MeasurementSession};
 
     fn synthetic_session(size: usize) -> MeasurementSession<CsdSource> {
+        MeasurementSession::new(CsdSource::new(synthetic_csd(size)))
+    }
+
+    fn synthetic_csd(size: usize) -> Csd {
         let grid = VoltageGrid::new(0.0, 0.0, 1.0, size, size).unwrap();
         let s = size as f64 / 100.0;
-        let csd = Csd::from_fn(grid, move |v1, v2| {
+        Csd::from_fn(grid, move |v1, v2| {
             let mut i = 8.0 - 0.002 * (v1 + v2);
             if v2 > -4.0 * (v1 - 62.0 * s) {
                 i -= 1.0;
@@ -368,8 +372,7 @@ mod tests {
             }
             i
         })
-        .unwrap();
-        MeasurementSession::new(CsdSource::new(csd))
+        .unwrap()
     }
 
     #[test]
@@ -430,10 +433,11 @@ mod tests {
 
     #[test]
     fn acquire_full_csd_reproduces_source() {
-        let mut session = synthetic_session(32);
+        let csd = synthetic_csd(32);
+        let mut session = MeasurementSession::new(CsdSource::new(csd.clone()));
         let acquired = acquire_full_csd(&mut session).unwrap();
         assert_eq!(acquired.size(), (32, 32));
-        assert_eq!(acquired, *session.source().csd());
+        assert_eq!(acquired, csd);
     }
 
     #[test]

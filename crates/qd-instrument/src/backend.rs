@@ -275,15 +275,6 @@ impl ThrottledBackend {
         }
         Ok(Self { dwell, inner })
     }
-
-    /// Throttled simulation — the common case.
-    ///
-    /// # Errors
-    ///
-    /// Rejects dwells above [`MAX_BACKEND_DWELL`].
-    pub fn simulated(dwell: Duration) -> Result<Self, BackendError> {
-        Self::new(dwell, Arc::new(SimBackend))
-    }
 }
 
 impl SourceBackend for ThrottledBackend {

@@ -31,11 +31,10 @@
 //! hash of `(pixel, seed)`, drift advances one sample per dwell-costing
 //! probe, and the bus/DAC models contain no randomness at all.
 //!
-//! Bus time is *virtual* (accounted, never slept — like
-//! [`crate::DwellClock`]): [`HwSimSource::bus`] accumulates it per
-//! source, and [`HwSimProfile::scatter_cost`] recomputes it from a
-//! probe scatter after the fact, which is how the `fastvg-zoo` harness
-//! reports per-scenario sweep cost.
+//! Bus time is *virtual* (computed, never slept — like the session's
+//! dwell) and has one rule: [`HwSimProfile::scatter_cost`] over a
+//! session's probe scatter. The source itself keeps no ledger; the
+//! `fastvg-zoo` harness reports per-scenario sweep cost this way.
 //!
 //! # Profile grammar
 //!
@@ -167,17 +166,6 @@ impl DacModel {
             self.channels[1].default_code(),
         )
     }
-}
-
-/// Bus traffic accounting for one [`HwSimSource`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BusStats {
-    /// Probes served.
-    pub probes: u64,
-    /// Command words clocked.
-    pub words: u64,
-    /// Total virtual bus + settle + slew time.
-    pub time: Duration,
 }
 
 /// The named severity presets a profile starts from.
@@ -478,12 +466,11 @@ impl HwSimProfile {
         self.t_settle + self.t_write * Self::bus_words(prev, next) as u32 + slew
     }
 
-    /// Recomputes the total bus cost of a dwell-costing probe sequence
-    /// (e.g. a session's scatter: unique pixels in first-probe order)
-    /// over `window`. The session caches every pixel, so every
-    /// dwell-costing probe is a pixel's first probe, and this reproduces
-    /// exactly what an [`HwSimSource`] accumulated — without keeping the
-    /// source.
+    /// The total bus cost of a dwell-costing probe sequence over
+    /// `window`, starting from the power-on codes: the one bus-time
+    /// rule. Pass a session's scatter (unique pixels in first-probe
+    /// order); the session caches every pixel, so that is exactly the
+    /// sequence of probes that reached the DAC.
     pub fn scatter_cost(&self, window: &VoltageWindow, pixels: &[(i64, i64)]) -> Duration {
         let dac = self.dac_for(window);
         let mut prev = None;
@@ -522,17 +509,14 @@ pub struct HwSimSource {
     profile: HwSimProfile,
     dac: DacModel,
     seed: u64,
-    prev: Option<(u16, u16)>,
     drift: Option<PinkNoise>,
     rng: StdRng,
-    bus: BusStats,
 }
 
 impl std::fmt::Debug for HwSimSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HwSimSource")
             .field("profile", &self.profile.canonical_args())
-            .field("bus", &self.bus)
             .finish()
     }
 }
@@ -551,17 +535,10 @@ impl HwSimSource {
             window,
             dac,
             seed: scenario.seed,
-            prev: None,
             drift,
             rng: StdRng::seed_from_u64(scenario.seed ^ salt),
             profile,
-            bus: BusStats::default(),
         }
-    }
-
-    /// The bus traffic this source has accumulated.
-    pub fn bus(&self) -> BusStats {
-        self.bus
     }
 
     /// The realized DAC model.
@@ -572,13 +549,8 @@ impl HwSimSource {
 
 impl CurrentSource for HwSimSource {
     fn current(&mut self, v1: f64, v2: f64) -> f64 {
-        // Register layer: quantize + clamp, pay the bus.
-        let codes = self.dac.quantize(v1, v2);
-        self.bus.probes += 1;
-        self.bus.words += HwSimProfile::bus_words(self.prev, codes);
-        self.bus.time += self.profile.probe_cost(&self.dac, self.prev, codes);
-        self.prev = Some(codes);
-        let (a1, a2) = self.dac.dequantize(codes);
+        // Register layer: quantize + clamp.
+        let (a1, a2) = self.dac.dequantize(self.dac.quantize(v1, v2));
 
         // Drift advances exactly once per dwell-costing probe, dead or
         // not, so the sample stream is a pure function of the probe
@@ -635,8 +607,8 @@ impl SourceBackend for HwSimBackend {
         format!("hwsim:{}", self.profile.canonical_args())
     }
 
-    // dwell() stays ZERO: bus/settle/slew time is virtual accounting
-    // (BusStats, scatter_cost), not a real sleep — compose with
+    // dwell() stays ZERO: bus/settle/slew time is virtual
+    // (scatter_cost), not a real sleep — compose with
     // `throttled:<dwell>+hwsim:<profile>` for wall-clock realism.
 
     fn open(&self, scenario: SourceScenario) -> Result<BoxedSource, BackendError> {
@@ -647,6 +619,7 @@ impl SourceBackend for HwSimBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BackendRegistry, ProbeSession};
     use qd_csd::{Csd, VoltageGrid};
 
     fn scenario() -> SourceScenario {
@@ -781,8 +754,32 @@ mod tests {
         for (v1, v2) in [(-10.0, 5.0), (0.25, 17.75), (21.0, 36.0)] {
             assert_eq!(source.current(v1, v2), plain.current(v1, v2));
         }
-        assert_eq!(source.bus().probes, 3);
-        assert!(source.bus().time > Duration::ZERO);
+    }
+
+    #[test]
+    fn scatter_cost_prices_the_sessions_probe_order() {
+        let backend = BackendRegistry::standard().resolve("hwsim:worn").unwrap();
+        let profile = HwSimProfile::preset(HwSimPreset::Worn);
+        let cost = |pixels: &[(i64, i64)]| {
+            let mut session = backend.session(scenario()).unwrap();
+            let w = session.window();
+            for &(x, y) in pixels {
+                let _ = session.get_current(w.x_min + x as f64, w.y_min + y as f64);
+            }
+            let before = profile.scatter_cost(&w, &session.scatter());
+            // Cached re-probes never reach the DAC, so they cost nothing.
+            for &(x, y) in pixels {
+                let _ = session.get_current(w.x_min + x as f64, w.y_min + y as f64);
+            }
+            assert_eq!(profile.scatter_cost(&w, &session.scatter()), before);
+            before
+        };
+        assert_eq!(cost(&[]), Duration::ZERO);
+        // The same four pixels: one jump across the window versus three.
+        let friendly = cost(&[(4, 4), (5, 4), (26, 27), (27, 27)]);
+        let jumpy = cost(&[(4, 4), (27, 27), (5, 4), (26, 27)]);
+        assert!(friendly > Duration::ZERO);
+        assert!(friendly < jumpy, "{friendly:?} vs {jumpy:?}");
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //!   by [`CsdSource`] (replay a recorded/synthetic diagram, what the paper
 //!   does with qflow data) and [`PhysicsSource`] (live constant-interaction
 //!   model with optional noise).
-//! * [`DwellClock`] — a virtual clock accruing one dwell per probe;
-//!   [`ThrottledSource`] is the source that paces probes in real time.
 //! * [`MeasurementSession`] — a source plus one window-sized pixel table
 //!   that is at once the measurement cache (re-probing a pixel costs
 //!   nothing, as in the paper's simulated evaluation), the probe counts of
-//!   Table 1 and the probed-pixel scatter of Figure 7.
+//!   Table 1 and the probed-pixel scatter of Figure 7. Its dwell is
+//!   virtual, `probes ×` [`PAPER_DWELL`]; [`ThrottledSource`] is the
+//!   source that paces probes in real time.
 //! * [`SourceBackend`] + [`BackendRegistry`] — runtime probe-source
 //!   selection behind one object-safe seam: `sim`, `throttled:<dwell>`,
 //!   `replay:<tape>`, `record:<tape>[+inner]`, plus embedder-registered
@@ -24,13 +24,14 @@
 //!   bit-identically without the source (see [`tape`]).
 //! * [`HwSimBackend`] — `hwsim:<profile>`: the diagram behind a
 //!   register-level DAC hardware model (code quantization, limit
-//!   tables, bus/slew probe cost, crosstalk, 1/f drift, dead pixels),
-//!   deterministic from the scenario seed (see [`hwsim`]).
+//!   tables, crosstalk, 1/f drift, dead pixels), deterministic from the
+//!   scenario seed; its bus/slew time is [`HwSimProfile::scatter_cost`]
+//!   over a session's scatter (see [`hwsim`]).
 //! * [`MultiplexedBackend`] — `multiplexed:<N>[+inner]`: any inner
 //!   backend behind a [`ChannelPool`] of `N` shared probe channels,
-//!   with conflict-avoiding dwell-slot schedules ([`ProbeScheduler`]:
-//!   round-robin or equi-difference CAC codewords) and deterministic
-//!   virtual-time contention accounting (see [`mux`]).
+//!   with conflict-avoiding dwell-slot schedules (equi-difference CAC
+//!   codewords, [`MuxPolicy::codewords`]; round-robin is weight 1) and
+//!   contention counted in dwell slots (see [`mux`]).
 //!
 //! # Example
 //!
@@ -57,7 +58,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod clock;
 pub mod hwsim;
 mod ledger;
 pub mod mux;
@@ -71,16 +71,13 @@ pub use backend::{
     BackendError, BackendRegistry, BoxedSource, RecordBackend, ReplayBackend, SimBackend,
     SourceBackend, SourceScenario, ThrottledBackend,
 };
-pub use clock::DwellClock;
-pub use hwsim::{
-    BusStats, DacChannel, DacModel, HwSimBackend, HwSimPreset, HwSimProfile, HwSimSource,
-};
+pub use hwsim::{DacChannel, DacModel, HwSimBackend, HwSimPreset, HwSimProfile, HwSimSource};
 pub use mux::{
-    ChannelPool, ChannelStats, EquiDifference, MultiplexedBackend, MuxConfig, MuxPolicy, MuxSource,
-    MuxStats, ProbeScheduler, RoundRobin, SessionWait,
+    ChannelPool, ChannelStats, MultiplexedBackend, MuxConfig, MuxPolicy, MuxSource, MuxStats,
+    SessionWait,
 };
 pub use scan::ScanPattern;
-pub use session::{MeasurementSession, ProbeSession};
+pub use session::{MeasurementSession, ProbeSession, PAPER_DWELL};
 pub use source::{CsdSource, CurrentSource, FnSource, PhysicsSource, VoltageWindow};
 pub use tape::{RecordingSource, ReplayMode, ReplaySource, Tape, TapeError, TapeHeader, TapeProbe};
 pub use throttle::ThrottledSource;

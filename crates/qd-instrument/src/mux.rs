@@ -6,7 +6,7 @@
 //! parallel as the channel schedule lets it be. This module models that
 //! constraint as a backend wrapper, `multiplexed:<N>[+inner]`: a
 //! [`ChannelPool`] arbitrates `N` probe channels over any inner backend,
-//! and a [`ProbeScheduler`] assigns every dwell-costing probe a *dwell
+//! and its [`MuxPolicy`] assigns every dwell-costing probe a *dwell
 //! slot* on its session's channel so that concurrent sessions never
 //! collide.
 //!
@@ -14,29 +14,29 @@
 //! programming the gates and settling/integrating (per gate pair — this
 //! is where a throttled inner backend's real sleep lands, and it
 //! overlaps freely across sessions), and the channel's dwell slot (the
-//! shared resource the scheduler hands out). Slot accounting is
-//! *virtual time* on a shared [`DwellClock`], exactly like the session's
-//! dwell: deterministic in the probe sequence and the session's
+//! shared resource the schedule hands out). Slots are *counted*, never
+//! slept, like the session's dwell: each channel keeps a count of busy
+//! slots, deterministic in the probe sequence and the session's
 //! preassigned codeword, never in thread timing. Readings pass through
 //! the inner source untouched, so a multiplexed run is bit-identical to
 //! an unmultiplexed one — only wall clock and contention accounting
 //! change.
 //!
-//! Two scheduling policies ship (the `ProbeScheduler` trait takes
-//! more):
+//! Every schedule is an equi-difference conflict-avoiding code (Xie &
+//! Luo; Feng, Wang & Wang): within a frame of `n = w·m` slots, the
+//! session with rank `r` owns the image of the arithmetic progression
+//! `{0, i, 2i, …, (w−1)·i}` shifted by `i·w·r`, taken mod `n`
+//! ([`MuxPolicy::codewords`]), and its `j`-th probe lands in frame
+//! `j / w` at the codeword's `(j mod w)`-th slot ([`probe_slot`]). For
+//! any generator `i` coprime to `n` the `m` codewords tile the frame
+//! disjointly, so schedules are collision-free *by construction* for
+//! every occupancy `K ≤ m`. The two policies are two such codes:
 //!
-//! * [`RoundRobin`] — slot-interleaved TDMA: the `m` codewords on a
-//!   channel take turns slot by slot. The baseline; every probe of a
-//!   contended channel stalls `m − 1` slots waiting for its turn.
-//! * [`EquiDifference`] — codewords from the equi-difference
-//!   conflict-avoiding-code construction (Xie & Luo; Feng, Wang &
-//!   Wang): within a frame of `n = w·m` slots, the session with rank
-//!   `r` owns the image of the arithmetic progression
-//!   `{0, i, 2i, …, (w−1)·i}` shifted by `i·w·r`, taken mod `n`. For
-//!   any generator `i` coprime to `n` the `m` codewords tile the frame
-//!   disjointly, so schedules are collision-free *by construction* for
-//!   every occupancy `K ≤ m` — and because each codeword packs `w`
-//!   slots per frame, `w − 1` of every `w` probes land at the session's
+//! * `policy=rr` — weight 1, generator 1: rank `r` owns slot `r` of an
+//!   `m`-slot frame, slot-interleaved TDMA. The baseline; every probe
+//!   of a contended channel stalls `m − 1` slots waiting for its turn.
+//! * `policy=ed` — weight `w` (default 4): each codeword packs `w` slots
+//!   per frame, so `w − 1` of every `w` probes land at the session's
 //!   own pace (a *clean* acquire) instead of stalling between every
 //!   probe the way round-robin does. On hardware that's the difference
 //!   between retuning the mux every slot and amortizing it over bursts.
@@ -70,7 +70,7 @@
 use crate::backend::{
     format_dwell, parse_dwell, BackendError, BoxedSource, SourceBackend, SourceScenario,
 };
-use crate::clock::DwellClock;
+use crate::session::PAPER_DWELL;
 use crate::source::{CurrentSource, VoltageWindow};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -92,127 +92,6 @@ fn invalid(message: impl Into<String>) -> BackendError {
     }
 }
 
-/// Assigns dwell slots on a shared channel to the sessions multiplexed
-/// onto it. Implementations must be *collision-free*: for one channel
-/// provisioned with `capacity` codewords, no two ranks may ever be
-/// assigned the same slot.
-///
-/// Schedules are frame-periodic: a rank owns [`ProbeScheduler::codeword`]
-/// — a strictly increasing set of in-frame slots — and its `j`-th probe
-/// lands in frame `j / w` at the codeword's `(j mod w)`-th slot. The
-/// provided [`ProbeScheduler::slot`] does exactly that arithmetic, so a
-/// policy only describes its codewords.
-pub trait ProbeScheduler: Send + Sync + std::fmt::Debug {
-    /// The policy's spec token (`"rr"`, `"ed"`).
-    fn name(&self) -> &'static str;
-
-    /// Frame length in slots when `capacity` codewords are provisioned.
-    fn frame(&self, capacity: usize) -> u64;
-
-    /// The in-frame dwell slots owned by `rank` (strictly increasing,
-    /// all below [`ProbeScheduler::frame`]).
-    fn codeword(&self, rank: usize, capacity: usize) -> Vec<u64>;
-
-    /// The global slot index of probe `probe` for `rank` — frames of
-    /// the rank's codeword, consumed in time order.
-    fn slot(&self, rank: usize, probe: u64, capacity: usize) -> u64 {
-        let codeword = self.codeword(rank, capacity);
-        let w = codeword.len() as u64;
-        (probe / w) * self.frame(capacity) + codeword[(probe % w) as usize]
-    }
-}
-
-/// Slot-interleaved TDMA — the baseline policy. Rank `r` owns in-frame
-/// slot `r` of a frame of `capacity` slots, so contended sessions take
-/// turns probe by probe and every probe of a busy channel stalls
-/// `capacity − 1` slots.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobin;
-
-impl ProbeScheduler for RoundRobin {
-    fn name(&self) -> &'static str {
-        "rr"
-    }
-
-    fn frame(&self, capacity: usize) -> u64 {
-        capacity as u64
-    }
-
-    fn codeword(&self, rank: usize, _capacity: usize) -> Vec<u64> {
-        vec![rank as u64]
-    }
-}
-
-/// Equi-difference conflict-avoiding schedule: rank `r` owns the image
-/// of the equi-difference codeword `{0, i, 2i, …, (w−1)·i}` under the
-/// shift `i·w·r`, taken mod the frame `n = w·capacity`.
-///
-/// Because `x ↦ i·x mod n` is a bijection for `gcd(i, n) = 1` and the
-/// blocks `{r·w, …, r·w + w − 1}` tile `Z_n`, the codewords are
-/// pairwise disjoint for every generator the spec parser admits —
-/// collision-free without any per-probe negotiation between sessions,
-/// which is the property the CAC literature buys on unsynchronized
-/// hardware.
-#[derive(Debug, Clone, Copy)]
-pub struct EquiDifference {
-    weight: usize,
-    generator: usize,
-}
-
-impl EquiDifference {
-    /// A schedule with `weight` slots per frame and session, generator
-    /// `i = generator`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects weights outside `1..=`[`MAX_MUX_WEIGHT`] and a zero
-    /// generator. Coprimality with the frame depends on the capacity
-    /// and is checked where both are known ([`MuxConfig::parse`],
-    /// [`ChannelPool::new`]).
-    pub fn new(weight: usize, generator: usize) -> Result<Self, BackendError> {
-        if weight == 0 || weight > MAX_MUX_WEIGHT {
-            return Err(invalid(format!(
-                "equi-difference weight {weight} outside 1..={MAX_MUX_WEIGHT}"
-            )));
-        }
-        if generator == 0 {
-            return Err(invalid("equi-difference generator must be positive"));
-        }
-        Ok(Self { weight, generator })
-    }
-
-    /// Slots per frame and session.
-    pub fn weight(&self) -> usize {
-        self.weight
-    }
-
-    /// The codeword generator `i`.
-    pub fn generator(&self) -> usize {
-        self.generator
-    }
-}
-
-impl ProbeScheduler for EquiDifference {
-    fn name(&self) -> &'static str {
-        "ed"
-    }
-
-    fn frame(&self, capacity: usize) -> u64 {
-        (self.weight * capacity) as u64
-    }
-
-    fn codeword(&self, rank: usize, capacity: usize) -> Vec<u64> {
-        let n = self.frame(capacity);
-        let i = self.generator as u64;
-        let mut slots: Vec<u64> = (0..self.weight as u64)
-            .map(|k| (i * (rank as u64 * self.weight as u64 + k)) % n)
-            .collect();
-        // Codeword slots are consumed in time order within each frame.
-        slots.sort_unstable();
-        slots
-    }
-}
-
 fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         (a, b) = (b, a % b);
@@ -222,12 +101,12 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 
 /// The scheduling policy of a [`MuxConfig`], spec-addressable as
 /// `policy=rr` (default) or `policy=ed[,w=<weight>][,i=<generator>]`.
+/// Both are equi-difference codes (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MuxPolicy {
-    /// Slot-interleaved TDMA ([`RoundRobin`]).
+    /// Slot-interleaved TDMA: the weight-1, generator-1 code.
     RoundRobin,
-    /// Equi-difference conflict-avoiding codewords
-    /// ([`EquiDifference`]).
+    /// Equi-difference conflict-avoiding codewords.
     EquiDifference {
         /// Slots per frame and session (`w=`, default 4).
         weight: usize,
@@ -238,19 +117,56 @@ pub enum MuxPolicy {
 }
 
 impl MuxPolicy {
-    /// Instantiates the scheduler this policy names.
+    /// The policy's spec token (`"rr"`, `"ed"`).
+    fn name(self) -> &'static str {
+        match self {
+            MuxPolicy::RoundRobin => "rr",
+            MuxPolicy::EquiDifference { .. } => "ed",
+        }
+    }
+
+    /// The schedule for `capacity` ranks: the frame length
+    /// `n = w × capacity` and each rank `r`'s in-frame slots
+    /// `{i·(r·w + k) mod n : k < w}`, sorted.
     ///
     /// # Errors
     ///
-    /// Whatever the scheduler's constructor rejects.
-    pub fn scheduler(&self) -> Result<Box<dyn ProbeScheduler>, BackendError> {
-        Ok(match *self {
-            MuxPolicy::RoundRobin => Box::new(RoundRobin),
-            MuxPolicy::EquiDifference { weight, generator } => {
-                Box::new(EquiDifference::new(weight, generator)?)
-            }
-        })
+    /// Rejects weights outside `1..=`[`MAX_MUX_WEIGHT`] and a zero
+    /// generator. Coprimality with the frame is checked where the
+    /// capacity is known too ([`MuxConfig::parse`], [`ChannelPool::new`]).
+    pub fn codewords(self, capacity: usize) -> Result<(u64, Vec<Vec<u64>>), BackendError> {
+        let (weight, generator) = match self {
+            MuxPolicy::RoundRobin => (1, 1),
+            MuxPolicy::EquiDifference { weight, generator } => (weight, generator),
+        };
+        if weight == 0 || weight > MAX_MUX_WEIGHT {
+            return Err(invalid(format!(
+                "equi-difference weight {weight} outside 1..={MAX_MUX_WEIGHT}"
+            )));
+        }
+        if generator == 0 {
+            return Err(invalid("equi-difference generator must be positive"));
+        }
+        let (w, i) = (weight as u64, generator as u64);
+        let frame = w * capacity as u64;
+        let codewords = (0..capacity as u64)
+            .map(|rank| {
+                let mut slots: Vec<u64> = (0..w).map(|k| (i * (rank * w + k)) % frame).collect();
+                // Codeword slots are consumed in time order within each frame.
+                slots.sort_unstable();
+                slots
+            })
+            .collect();
+        Ok((frame, codewords))
     }
+}
+
+/// The global slot of a rank's `probe`-th dwell-costing probe: frames of
+/// `frame` slots, each consuming the rank's sorted `codeword` in time
+/// order.
+pub fn probe_slot(frame: u64, codeword: &[u64], probe: u64) -> u64 {
+    let w = codeword.len() as u64;
+    (probe / w) * frame + codeword[(probe % w) as usize]
 }
 
 /// Parsed `multiplexed:` arguments (everything between the scheme and
@@ -434,7 +350,7 @@ struct Seat {
 struct ChannelState {
     live: Vec<bool>,
     sessions: u64,
-    busy: DwellClock,
+    busy_slots: u64,
     makespan_slots: u64,
     wait_slots: u64,
     clean: u64,
@@ -460,7 +376,7 @@ struct PoolMeta {
 
 /// `N` probe channels shared by up to `N × capacity` concurrent
 /// sessions, with collision-free dwell-slot schedules and virtual-time
-/// contention accounting (a shared [`DwellClock`] per channel).
+/// contention accounting (busy, stall and horizon slots per channel).
 ///
 /// Cloning is cheap and shares the pool; [`MultiplexedBackend`] hands
 /// every opened source a clone, which is how `K` batch jobs end up
@@ -474,39 +390,30 @@ pub struct ChannelPool {
 impl ChannelPool {
     /// Builds a pool for `config` with dwell slots of `slot`.
     ///
-    /// Provisions one codeword per (channel, rank) up front and
-    /// verifies the policy's collision-freedom invariant — codewords
-    /// strictly increasing, inside the frame, and pairwise disjoint —
-    /// so a policy bug surfaces at resolve time, not as silently
-    /// overlapping dwell windows mid-run.
+    /// Provisions one codeword per rank up front and checks that no two
+    /// slots coincide, within a codeword or across ranks. Sorted and
+    /// disjoint, every codeword is strictly increasing. The parser only
+    /// admits generators coprime to the frame, but `MuxConfig`'s fields
+    /// are public: a config built in code fails here, at resolve time,
+    /// not as silently overlapping dwell windows mid-run.
     ///
     /// # Errors
     ///
-    /// [`BackendError::InvalidSpec`] on a zero slot or a policy whose
-    /// codewords collide.
+    /// [`BackendError::InvalidSpec`] on a zero slot, a shape
+    /// [`MuxPolicy::codewords`] rejects, or codewords that collide.
     pub fn new(config: &MuxConfig, slot: Duration) -> Result<Self, BackendError> {
         if slot.is_zero() {
             return Err(invalid("multiplexed dwell slot must be positive"));
         }
-        let scheduler = config.policy.scheduler()?;
-        let frame = scheduler.frame(config.capacity);
-        let codewords: Vec<Vec<u64>> = (0..config.capacity)
-            .map(|rank| scheduler.codeword(rank, config.capacity))
-            .collect();
+        let policy = config.policy.name();
+        let (frame, codewords) = config.policy.codewords(config.capacity)?;
         let mut used = vec![false; frame as usize];
         for (rank, codeword) in codewords.iter().enumerate() {
-            if codeword.is_empty() || codeword.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(invalid(format!(
-                    "policy {:?} emitted a non-increasing codeword for rank {rank}",
-                    scheduler.name()
-                )));
-            }
             for &s in codeword {
                 if s >= frame || std::mem::replace(&mut used[s as usize], true) {
                     return Err(invalid(format!(
-                        "policy {:?} codewords collide at slot {s} (rank {rank}); \
-                         the schedule is not conflict-avoiding",
-                        scheduler.name()
+                        "policy {policy:?} codewords collide at slot {s} (rank {rank}); \
+                         the schedule is not conflict-avoiding"
                     )));
                 }
             }
@@ -514,14 +421,13 @@ impl ChannelPool {
         let channels = (0..config.channels)
             .map(|_| ChannelState {
                 live: vec![false; config.capacity],
-                busy: DwellClock::new(slot),
                 ..ChannelState::default()
             })
             .collect();
         Ok(Self {
             meta: Arc::new(PoolMeta {
                 slot,
-                policy: scheduler.name(),
+                policy,
                 capacity: config.capacity,
                 frame,
                 codewords,
@@ -584,7 +490,7 @@ impl ChannelPool {
     fn account(&self, seat: Seat, slot_index: u64, stall: u64) {
         let mut state = self.state.lock().expect("mux pool poisoned");
         let channel = &mut state.channels[seat.chan];
-        channel.busy.tick();
+        channel.busy_slots += 1;
         channel.makespan_slots = channel.makespan_slots.max(slot_index + 1);
         channel.wait_slots += stall;
         if stall == 0 {
@@ -628,7 +534,7 @@ impl ChannelPool {
                 .map(|(chan, c)| ChannelStats {
                     chan,
                     sessions: c.sessions,
-                    busy_slots: c.busy.ticks(),
+                    busy_slots: c.busy_slots,
                     makespan_slots: c.makespan_slots,
                     wait_slots: c.wait_slots,
                     clean: c.clean,
@@ -749,9 +655,7 @@ impl std::fmt::Debug for MuxSource {
 impl CurrentSource for MuxSource {
     fn current(&mut self, v1: f64, v2: f64) -> f64 {
         let meta = &*self.pool.meta;
-        let codeword = &meta.codewords[self.seat.rank];
-        let w = codeword.len() as u64;
-        let slot = (self.probes / w) * meta.frame + codeword[(self.probes % w) as usize];
+        let slot = probe_slot(meta.frame, &meta.codewords[self.seat.rank], self.probes);
         // The session could have probed one slot after its previous
         // one; anything later is a scheduling stall. Deterministic in
         // (rank, probe index) alone — thread timing never enters.
@@ -810,7 +714,7 @@ impl MultiplexedBackend {
     pub fn new(config: MuxConfig, inner: Arc<dyn SourceBackend>) -> Result<Self, BackendError> {
         let slot = config.slot.unwrap_or_else(|| {
             if inner.dwell().is_zero() {
-                DwellClock::PAPER_DWELL
+                PAPER_DWELL
             } else {
                 inner.dwell()
             }
@@ -943,24 +847,40 @@ mod tests {
 
     #[test]
     fn round_robin_interleaves_and_equi_difference_bursts() {
-        let rr = RoundRobin;
+        let ed = |weight, generator| MuxPolicy::EquiDifference { weight, generator };
+        let stream = |policy: MuxPolicy, rank: usize, capacity: usize| {
+            let (frame, codewords) = policy.codewords(capacity).unwrap();
+            (0..6)
+                .map(|j| probe_slot(frame, &codewords[rank], j))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(stream(MuxPolicy::RoundRobin, 1, 4), [1, 5, 9, 13, 17, 21]);
         assert_eq!(
-            (0..6).map(|j| rr.slot(1, j, 4)).collect::<Vec<_>>(),
-            vec![1, 5, 9, 13, 17, 21]
+            MuxPolicy::RoundRobin.codewords(4).unwrap(),
+            ed(1, 1).codewords(4).unwrap(),
+            "round-robin is the weight-1, generator-1 code"
         );
-        let ed = EquiDifference::new(4, 1).unwrap();
         // Rank 1 of 2: the block {4,5,6,7} of the 8-slot frame, then
         // the next frame's block — bursts, not interleaving.
-        assert_eq!(
-            (0..6).map(|j| ed.slot(1, j, 2)).collect::<Vec<_>>(),
-            vec![4, 5, 6, 7, 12, 13]
-        );
+        assert_eq!(stream(ed(4, 1), 1, 2), [4, 5, 6, 7, 12, 13]);
         // A non-trivial generator strides the frame but stays
         // disjoint: rank 0 and rank 1 codewords never meet.
-        let ed = EquiDifference::new(4, 3).unwrap();
-        let a = ed.codeword(0, 2);
-        let b = ed.codeword(1, 2);
-        assert!(a.iter().all(|s| !b.contains(s)), "{a:?} vs {b:?}");
+        let (_, cw) = ed(4, 3).codewords(2).unwrap();
+        assert!(cw[0].iter().all(|s| !cw[1].contains(s)), "{cw:?}");
+        // Shapes no code admits are rejected, whether the config was
+        // parsed or built in code.
+        for policy in [ed(0, 1), ed(MAX_MUX_WEIGHT + 1, 1), ed(4, 0)] {
+            assert!(policy.codewords(2).is_err(), "{policy:?}");
+        }
+        // Frame 32: i=2 collides across ranks, i=16 within rank 0.
+        for policy in [ed(4, 2), ed(4, 16)] {
+            let config = MuxConfig {
+                policy,
+                ..MuxConfig::new(1)
+            };
+            let err = ChannelPool::new(&config, PAPER_DWELL).unwrap_err();
+            assert!(err.to_string().contains("collide"), "{err}");
+        }
     }
 
     #[test]
@@ -975,6 +895,25 @@ mod tests {
         assert_eq!(a.get_current(2.0, 5.0), 205.0); // cache hit, no slot
         let stats = backend.channel_pool().unwrap().stats();
         assert_eq!(stats.busy_slots(), 2, "cache hits cost no dwell slot");
+    }
+
+    #[test]
+    fn slots_are_counted_never_slept() {
+        assert_eq!(PAPER_DWELL, Duration::from_millis(50));
+        // 10 s is the dwell cap: slept, these 100 slots would take 1000 s.
+        let backend = BackendRegistry::standard()
+            .resolve("multiplexed:1,cap=1,slot=10s")
+            .unwrap();
+        let mut session = backend.session(scenario("a")).unwrap();
+        let start = std::time::Instant::now();
+        for k in 0..100 {
+            let _ = session.get_current((k % 16) as f64, (k / 16) as f64);
+        }
+        assert!(start.elapsed() < Duration::from_secs(1));
+        assert_eq!(session.simulated_dwell(), Duration::from_secs(5));
+        let stats = backend.channel_pool().unwrap().stats();
+        assert_eq!(stats.busy_slots(), 100);
+        assert_eq!(stats.wait(), Duration::ZERO);
     }
 
     #[test]
@@ -1071,7 +1010,7 @@ mod tests {
     fn slot_length_derives_from_the_inner_dwell() {
         let registry = BackendRegistry::standard();
         let sim = registry.resolve("multiplexed:1").unwrap();
-        assert_eq!(sim.channel_pool().unwrap().slot(), DwellClock::PAPER_DWELL);
+        assert_eq!(sim.channel_pool().unwrap().slot(), PAPER_DWELL);
         let throttled = registry.resolve("multiplexed:1+throttled:2ms").unwrap();
         assert_eq!(
             throttled.channel_pool().unwrap().slot(),

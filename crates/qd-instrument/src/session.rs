@@ -1,8 +1,13 @@
 //! The measurement session: a source plus its one pixel table.
 
 use crate::ledger::ProbeLedger;
-use crate::{CurrentSource, DwellClock, VoltageWindow};
+use crate::{CurrentSource, VoltageWindow};
 use std::time::Duration;
+
+/// The paper's dwell per probed point: 50 ms (citing Zajac's thesis)
+/// while the filtered bias lines settle. Every session's dwell is the
+/// virtual `probes × PAPER_DWELL`.
+pub const PAPER_DWELL: Duration = Duration::from_millis(50);
 
 /// Object-safe view of a measurement session: probing plus the
 /// accounting every extraction method reports on.
@@ -164,14 +169,9 @@ impl<S: CurrentSource> MeasurementSession<S> {
         self.ledger.coverage()
     }
 
-    /// Simulated dwell time accrued (`probes × 50 ms`).
+    /// Simulated dwell time accrued (`probes ×` [`PAPER_DWELL`]).
     pub fn simulated_dwell(&self) -> Duration {
-        DwellClock::PAPER_DWELL.saturating_mul(self.probe_count() as u32)
-    }
-
-    /// Borrows the underlying source.
-    pub fn source(&self) -> &S {
-        &self.source
+        PAPER_DWELL.saturating_mul(self.probe_count() as u32)
     }
 }
 

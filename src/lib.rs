@@ -14,7 +14,7 @@
 //! | [`wire`] | `fastvg-wire` | the shared JSON value/parser/serializer behind artifacts and the wire protocol |
 //! | [`physics`] | `qd-physics` | constant-interaction device models |
 //! | [`csd`] | `qd-csd` | charge stability diagrams & virtualization |
-//! | [`instrument`] | `qd-instrument` | `getCurrent` sessions, dwell clock, probe ledger |
+//! | [`instrument`] | `qd-instrument` | `getCurrent` sessions, virtual dwell, probe ledger |
 //! | [`numerics`] | `qd-numerics` | fitting & convolution substrate |
 //! | [`vision`] | `qd-vision` | from-scratch Canny + Hough |
 //! | [`dataset`] | `qd-dataset` | the synthetic 12-benchmark suite |
@@ -147,13 +147,12 @@ pub mod prelude {
     // The measurement stack: sessions, sources, and the runtime
     // backend/tape seam.
     pub use qd_instrument::{
-        BackendError, BackendRegistry, BoxedSource, BusStats, ChannelPool, ChannelStats, CsdSource,
-        CurrentSource, DacChannel, DacModel, DwellClock, EquiDifference, FnSource, HwSimBackend,
-        HwSimPreset, HwSimProfile, HwSimSource, MeasurementSession, MultiplexedBackend, MuxConfig,
-        MuxPolicy, MuxStats, PhysicsSource, ProbeScheduler, ProbeSession, RecordBackend,
-        RecordingSource, ReplayBackend, ReplayMode, ReplaySource, RoundRobin, ScanPattern,
-        SessionWait, SimBackend, SourceBackend, SourceScenario, Tape, ThrottledBackend,
-        ThrottledSource, VoltageWindow,
+        BackendError, BackendRegistry, BoxedSource, ChannelPool, ChannelStats, CsdSource,
+        CurrentSource, DacChannel, DacModel, FnSource, HwSimBackend, HwSimPreset, HwSimProfile,
+        HwSimSource, MeasurementSession, MultiplexedBackend, MuxConfig, MuxPolicy, MuxStats,
+        PhysicsSource, ProbeSession, RecordBackend, RecordingSource, ReplayBackend, ReplayMode,
+        ReplaySource, ScanPattern, SessionWait, SimBackend, SourceBackend, SourceScenario, Tape,
+        ThrottledBackend, ThrottledSource, VoltageWindow, PAPER_DWELL,
     };
     // Diagrams and devices.
     pub use qd_csd::{Csd, Pixel, VirtualizationMatrix, VoltageGrid};

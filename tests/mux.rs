@@ -4,6 +4,7 @@
 //! the pool admits, and the scheduling policy can never leak into
 //! extraction bytes — only into wall/dwell accounting.
 
+use fastvg::instrument::mux::probe_slot;
 use fastvg::prelude::*;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -178,13 +179,11 @@ proptest! {
         while gcd(generator, n) != 1 {
             generator = generator % n + 1;
         }
-        let scheduler = EquiDifference::new(weight, generator as usize).unwrap();
-        prop_assert_eq!(scheduler.frame(capacity), n);
+        let policy = MuxPolicy::EquiDifference { weight, generator: generator as usize };
+        let (frame, codewords) = policy.codewords(capacity).unwrap();
+        prop_assert_eq!(frame, n);
 
         // In-frame disjointness across every pair of ranks.
-        let codewords: Vec<Vec<u64>> = (0..capacity)
-            .map(|rank| scheduler.codeword(rank, capacity))
-            .collect();
         let mut in_frame: Vec<u64> = codewords.iter().flatten().copied().collect();
         in_frame.sort_unstable();
         in_frame.dedup();
@@ -200,10 +199,10 @@ proptest! {
         // strictly increasing within each rank.
         let probes_per_rank = 3 * weight as u64;
         let mut seen = std::collections::HashSet::new();
-        for rank in 0..capacity {
+        for (rank, codeword) in codewords.iter().enumerate() {
             let mut last = None;
             for probe in 0..probes_per_rank {
-                let slot = scheduler.slot(rank, probe, capacity);
+                let slot = probe_slot(frame, codeword, probe);
                 prop_assert!(
                     seen.insert(slot),
                     "rank {} probe {} collides on slot {}",
