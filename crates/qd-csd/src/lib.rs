@@ -7,6 +7,8 @@
 //!   granularity `δ`, the paper's "pixel size");
 //! * [`Csd`] — the current map itself, with cropping, normalization and
 //!   statistics;
+//! * [`PixelField`] — the per-pixel read seam probe sources read through:
+//!   a realized [`Csd`], or a field that computes only the pixels read;
 //! * [`VirtualizationMatrix`] — the 2×2 virtual-gate transform of §2.3 and
 //!   an affine resampler that renders a CSD in virtual coordinates
 //!   (paper Fig. 3 right);
@@ -39,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod diagram;
+pub mod field;
 pub mod grid;
 pub mod io;
 pub mod render;
@@ -48,5 +51,6 @@ mod error;
 
 pub use diagram::Csd;
 pub use error::CsdError;
+pub use field::PixelField;
 pub use grid::{Pixel, VoltageGrid};
 pub use transform::VirtualizationMatrix;

@@ -4,12 +4,18 @@
 //! lines cross near (62 %, 58 %) of the window — the geometry of the
 //! paper's cropped qflow diagrams, where the (0,0)/(0,1)/(1,0)/(1,1)
 //! corner sits in the upper-right half and both lines exit through the
-//! left and bottom edges. Noise is applied in row-major probe order, so
+//! left and bottom edges. Noise is drawn in row-major probe order, so
 //! drift accumulates across the raster exactly as it would during a real
 //! full-CSD acquisition.
+//!
+//! A spec realizes two ways, through one pixel formula. [`DeviceField`]
+//! draws the noise eagerly (it is one RNG stream in raster order) and
+//! evaluates the device model only for the pixels that are read — what a
+//! sparse extraction wants. [`generate`] builds the same field and reads
+//! every pixel into a dense [`Csd`], so both are bit-identical.
 
 use crate::{BenchmarkSpec, DatasetError};
-use qd_csd::{Csd, VoltageGrid};
+use qd_csd::{Csd, PixelField, VoltageGrid};
 use qd_physics::device::PairGroundTruth;
 use qd_physics::noise::{CompositeNoise, DriftNoise, NoiseModel, TelegraphNoise, WhiteNoise};
 use qd_physics::{DeviceBuilder, DoubleDotDevice, SensorModel};
@@ -105,49 +111,105 @@ pub fn window_for(
     )?)
 }
 
-/// Generates the benchmark diagram for a spec.
+/// A spec's device as a [`PixelField`] that computes a pixel only when
+/// it is read: `device.current` at the pixel's voltages plus the pixel's
+/// noise sample. The noise for the whole window is drawn at construction
+/// (it is one RNG stream in raster order); the device model, the
+/// expensive part, runs per read. Reading every pixel reproduces
+/// [`generate`]'s diagram bit for bit.
+#[derive(Debug)]
+pub struct DeviceField {
+    device: DoubleDotDevice,
+    grid: VoltageGrid,
+    noise: Vec<f64>,
+}
+
+impl DeviceField {
+    /// Builds the field for `spec`.
+    ///
+    /// # Errors
+    ///
+    /// Fails exactly where [`generate`] fails, with the same error: the
+    /// device model ([`build_device`]), its ground truth, then the
+    /// window ([`window_for`]).
+    pub fn new(spec: &BenchmarkSpec) -> Result<Self, DatasetError> {
+        Self::build(spec).map(|(field, _)| field)
+    }
+
+    /// The field plus the ground truth its checks computed.
+    fn build(spec: &BenchmarkSpec) -> Result<(Self, PairGroundTruth), DatasetError> {
+        let device = build_device(spec)?;
+        let truth = device.ground_truth()?;
+        let grid = window_for(spec, &device)?;
+
+        let mut model = CompositeNoise::new();
+        let r = &spec.noise;
+        if r.white_sigma > 0.0 {
+            model = model.with(WhiteNoise::new(r.white_sigma));
+        }
+        if r.drift_step > 0.0 {
+            model = model.with(DriftNoise::new(r.drift_step, r.drift_relaxation));
+        }
+        if r.telegraph_amplitude > 0.0 && r.telegraph_probability > 0.0 {
+            model = model.with(TelegraphNoise::new(
+                r.telegraph_amplitude,
+                r.telegraph_probability,
+            ));
+        }
+        let mut rng = StdRng::seed_from_u64(spec.seed);
+        let noise = (0..grid.len()).map(|_| model.sample(&mut rng)).collect();
+        Ok((
+            Self {
+                device,
+                grid,
+                noise,
+            },
+            truth,
+        ))
+    }
+}
+
+impl PixelField for DeviceField {
+    fn grid(&self) -> &VoltageGrid {
+        &self.grid
+    }
+
+    fn at(&self, x: usize, y: usize) -> f64 {
+        assert!(
+            self.grid.contains(x, y),
+            "pixel ({x}, {y}) outside {}x{} field",
+            self.grid.width(),
+            self.grid.height()
+        );
+        let (v1, v2) = self.grid.voltage_of(x, y);
+        let clean = self
+            .device
+            .current(&[v1, v2])
+            .expect("2-gate voltage vector matches double-dot device");
+        clean + self.noise[y * self.grid.width() + x]
+    }
+}
+
+/// Generates the benchmark diagram for a spec: its [`DeviceField`] with
+/// every pixel read.
 ///
 /// # Errors
 ///
 /// Propagates device-model and grid errors; see [`build_device`] and
 /// [`window_for`].
 pub fn generate(spec: &BenchmarkSpec) -> Result<GeneratedBenchmark, DatasetError> {
-    let device = build_device(spec)?;
-    let truth = device.ground_truth()?;
-    let grid = window_for(spec, &device)?;
-
-    let mut noise = CompositeNoise::new();
-    let r = &spec.noise;
-    if r.white_sigma > 0.0 {
-        noise = noise.with(WhiteNoise::new(r.white_sigma));
-    }
-    if r.drift_step > 0.0 {
-        noise = noise.with(DriftNoise::new(r.drift_step, r.drift_relaxation));
-    }
-    if r.telegraph_amplitude > 0.0 && r.telegraph_probability > 0.0 {
-        noise = noise.with(TelegraphNoise::new(
-            r.telegraph_amplitude,
-            r.telegraph_probability,
-        ));
-    }
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-
-    let mut data = Vec::with_capacity(grid.len());
-    for y in 0..grid.height() {
-        for x in 0..grid.width() {
-            let (v1, v2) = grid.voltage_of(x, y);
-            let clean = device
-                .current(&[v1, v2])
-                .expect("2-gate voltage vector matches double-dot device");
-            data.push(clean + noise.sample(&mut rng));
-        }
-    }
+    let (field, truth) = DeviceField::build(spec)?;
+    let grid = field.grid;
+    let width = grid.width();
+    let data = (0..grid.len())
+        .map(|i| field.at(i % width, i / width))
+        .collect();
     let csd = Csd::from_data(grid, data)?;
     Ok(GeneratedBenchmark {
         spec: spec.clone(),
         csd,
         truth,
-        device,
+        device: field.device,
     })
 }
 
@@ -174,6 +236,22 @@ mod tests {
         let a = generate(&clean_spec()).unwrap();
         let b = generate(&s2).unwrap();
         assert_ne!(a.csd, b.csd);
+    }
+
+    #[test]
+    fn device_field_fails_where_generate_fails() {
+        let mut singular = clean_spec();
+        singular.lever_arms = [[0.01, 0.01], [0.01, 0.01]];
+        // Builds, but only the ground-truth check sees the line parallel
+        // to a gate axis.
+        let mut axis_parallel = clean_spec();
+        axis_parallel.lever_arms = [[1.0, 0.0], [0.0, 1.0]];
+        axis_parallel.mutual = 0.0;
+        assert!(build_device(&axis_parallel).is_ok());
+        for spec in [singular, axis_parallel] {
+            let want = generate(&spec).unwrap_err().to_string();
+            assert_eq!(DeviceField::new(&spec).unwrap_err().to_string(), want);
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod error;
 
 pub use archive::{load_suite, save_suite, ArchivedBenchmark};
 pub use error::DatasetError;
-pub use generator::{generate, GeneratedBenchmark};
+pub use generator::{generate, DeviceField, GeneratedBenchmark};
 pub use spec::{BenchmarkSpec, NoiseRecipe};
 pub use suite::{
     generate_suite, paper_benchmark, paper_specs, paper_suite, paper_suite_jobs, random_specs,

@@ -12,12 +12,12 @@
 //!
 //! | spec | backend |
 //! |---|---|
-//! | `sim` | replay the scenario's diagram directly ([`CsdSource`]) |
+//! | `sim` | probe the scenario's field directly ([`CsdSource`]) |
 //! | `throttled:<dwell>` | `sim` behind a real per-probe sleep ([`crate::ThrottledSource`]) |
 //! | `replay:<tape>` | play a recorded tape back, strictly ([`ReplaySource`]) |
 //! | `record:<tape>` | `sim`, taping every probe to `<tape>` ([`RecordingSource`]) |
 //! | `record:<tape>+<inner>` | any inner spec, taped |
-//! | `hwsim:<profile>` | the diagram behind a register-level DAC model ([`crate::hwsim`]) |
+//! | `hwsim:<profile>` | the field behind a register-level DAC model ([`crate::hwsim`]) |
 //! | `multiplexed:<N>[+<inner>]` | any inner spec behind `N` shared probe channels ([`crate::mux`]) |
 //!
 //! `<dwell>` is an integer with a unit (`50us`, `2ms`, `1s`, `0`),
@@ -46,7 +46,7 @@
 
 use crate::tape::{RecordingSource, ReplayMode, ReplaySource, TapeError};
 use crate::{CsdSource, CurrentSource, MeasurementSession, ThrottledSource};
-use qd_csd::Csd;
+use qd_csd::PixelField;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -129,30 +129,32 @@ fn invalid(message: impl Into<String>) -> BackendError {
     }
 }
 
-/// What a backend opens a probe source *over*: the realized diagram
-/// plus the metadata recorded into tape headers.
+/// What a backend opens a probe source *over*: the scenario's pixel
+/// field plus the metadata recorded into tape headers.
 ///
-/// Every entry point realizes its scenario (a Table 1 benchmark, a wire
-/// spec, an inline grid) into a [`Csd`] first; the backend then decides
-/// how that diagram is probed — directly, throttled, taped, or not at
-/// all (replay ignores the diagram and serves the tape).
-#[derive(Debug, Clone)]
+/// Every entry point turns its scenario (a Table 1 benchmark, a wire
+/// spec, an inline grid) into a [`PixelField`] first — a realized
+/// [`Csd`](qd_csd::Csd), or a field that computes only the pixels read
+/// (`qd_dataset::DeviceField`, what the daemon uses for specs). The
+/// backend then decides how that field is probed — directly, throttled,
+/// taped, or not at all (replay ignores the field and serves the tape).
+#[derive(Debug)]
 pub struct SourceScenario {
-    /// The realized diagram.
-    pub csd: Csd,
+    /// The pixels to probe.
+    pub field: Box<dyn PixelField>,
     /// Free-form run label (`bench03-fast`, a job id, …); substituted
     /// into `{label}` tape-path templates and recorded in tape headers.
     pub label: String,
-    /// The generation seed behind the diagram (0 when not applicable);
+    /// The generation seed behind the field (0 when not applicable);
     /// recorded in tape headers.
     pub seed: u64,
 }
 
 impl SourceScenario {
-    /// A scenario over `csd` with the default label `"run"` and seed 0.
-    pub fn new(csd: Csd) -> Self {
+    /// A scenario over `field` with the default label `"run"` and seed 0.
+    pub fn new(field: impl PixelField + 'static) -> Self {
         Self {
-            csd,
+            field: Box::new(field),
             label: "run".to_string(),
             seed: 0,
         }
@@ -232,7 +234,7 @@ impl std::fmt::Debug for dyn SourceBackend {
     }
 }
 
-/// The compile-time-default backend: probe the scenario's diagram
+/// The compile-time-default backend: probe the scenario's field
 /// directly through a [`CsdSource`] — exactly what every harness did
 /// before backends existed, now as the registry's `sim` entry.
 #[derive(Debug, Clone, Copy, Default)]
@@ -248,7 +250,7 @@ impl SourceBackend for SimBackend {
     }
 
     fn open(&self, scenario: SourceScenario) -> Result<BoxedSource, BackendError> {
-        Ok(Box::new(CsdSource::new(scenario.csd)))
+        Ok(Box::new(CsdSource::new(scenario.field)))
     }
 }
 
@@ -304,7 +306,7 @@ impl SourceBackend for ThrottledBackend {
 }
 
 /// `replay:<tape>` — serve probes off a recorded tape
-/// ([`ReplaySource`]), strictly by default. The scenario's diagram is
+/// ([`ReplaySource`]), strictly by default. The scenario's field is
 /// ignored; the tape *is* the instrument.
 #[derive(Debug)]
 pub struct ReplayBackend {
@@ -619,7 +621,7 @@ impl BackendRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qd_csd::VoltageGrid;
+    use qd_csd::{Csd, VoltageGrid};
 
     fn scenario() -> SourceScenario {
         let grid = VoltageGrid::new(0.0, 0.0, 1.0, 16, 16).unwrap();
@@ -796,7 +798,7 @@ mod tests {
                     "null".to_string()
                 }
                 fn open(&self, scenario: SourceScenario) -> Result<BoxedSource, BackendError> {
-                    let window = crate::VoltageWindow::from_grid(scenario.csd.grid());
+                    let window = crate::VoltageWindow::from_grid(scenario.field.grid());
                     Ok(Box::new(crate::FnSource::new(|_, _| 0.0, window)))
                 }
             }

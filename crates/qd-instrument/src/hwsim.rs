@@ -55,6 +55,7 @@ use crate::backend::{
 };
 use crate::{CsdSource, CurrentSource, VoltageWindow};
 use fastvg_wire::fnv1a64;
+use qd_csd::PixelField;
 use qd_physics::noise::{NoiseModel, PinkNoise};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -501,10 +502,10 @@ pub fn is_dead_pixel(x: i64, y: i64, seed: u64, fraction: f64) -> bool {
     unit < fraction
 }
 
-/// A [`CurrentSource`] probing a scenario's diagram through the
+/// A [`CurrentSource`] probing a scenario's field through the
 /// simulated DAC register layer. Created by [`HwSimBackend::open`].
 pub struct HwSimSource {
-    inner: CsdSource,
+    inner: CsdSource<Box<dyn PixelField>>,
     window: VoltageWindow,
     profile: HwSimProfile,
     dac: DacModel,
@@ -526,12 +527,12 @@ impl HwSimSource {
     /// stochastic behavior derives from `scenario.seed` and the
     /// profile, nothing else.
     pub fn new(profile: HwSimProfile, scenario: SourceScenario) -> Self {
-        let window = VoltageWindow::from_grid(scenario.csd.grid());
+        let window = VoltageWindow::from_grid(scenario.field.grid());
         let dac = profile.dac_for(&window);
         let salt = fnv1a64(profile.canonical_args().as_bytes());
         let drift = (profile.drift > 0.0).then(|| PinkNoise::new(profile.drift, 4, 0.05));
         Self {
-            inner: CsdSource::new(scenario.csd),
+            inner: CsdSource::new(scenario.field),
             window,
             dac,
             seed: scenario.seed,
@@ -539,11 +540,6 @@ impl HwSimSource {
             rng: StdRng::seed_from_u64(scenario.seed ^ salt),
             profile,
         }
-    }
-
-    /// The realized DAC model.
-    pub fn dac(&self) -> &DacModel {
-        &self.dac
     }
 }
 
@@ -579,7 +575,7 @@ impl CurrentSource for HwSimSource {
     }
 }
 
-/// `hwsim:<profile>` — the scenario's diagram behind a register-level
+/// `hwsim:<profile>` — the scenario's field behind a register-level
 /// DAC hardware model. See the module docs for the profile grammar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HwSimBackend {
@@ -590,11 +586,6 @@ impl HwSimBackend {
     /// A backend applying `profile` to every opened scenario.
     pub fn new(profile: HwSimProfile) -> Self {
         Self { profile }
-    }
-
-    /// The profile this backend applies.
-    pub fn profile(&self) -> &HwSimProfile {
-        &self.profile
     }
 }
 
@@ -622,10 +613,13 @@ mod tests {
     use crate::{BackendRegistry, ProbeSession};
     use qd_csd::{Csd, VoltageGrid};
 
-    fn scenario() -> SourceScenario {
+    fn diagram() -> Csd {
         let grid = VoltageGrid::new(-10.0, 5.0, 1.0, 32, 32).unwrap();
-        let csd = Csd::from_fn(grid, |v1, v2| 2.0 + 0.1 * v1 + 0.01 * v2).unwrap();
-        SourceScenario::new(csd)
+        Csd::from_fn(grid, |v1, v2| 2.0 + 0.1 * v1 + 0.01 * v2).unwrap()
+    }
+
+    fn scenario() -> SourceScenario {
+        SourceScenario::new(diagram())
             .with_label("hwsim-unit")
             .with_seed(99)
     }
@@ -745,10 +739,11 @@ mod tests {
     #[test]
     fn nominal_source_matches_the_diagram_within_quantization() {
         let s = scenario();
-        let backend = HwSimBackend::new(HwSimProfile::preset(HwSimPreset::Nominal));
+        let profile = HwSimProfile::preset(HwSimPreset::Nominal);
+        let backend = HwSimBackend::new(profile.clone());
         assert_eq!(backend.describe(), "hwsim:nominal");
-        let mut plain = CsdSource::new(s.csd.clone());
-        let mut source = HwSimSource::new(backend.profile().clone(), s);
+        let mut plain = CsdSource::new(diagram());
+        let mut source = HwSimSource::new(profile, s);
         // A 16-bit DAC over a 31 V window has a ~0.5 mV LSB: every probe
         // lands on the same pixel the ideal source reads.
         for (v1, v2) in [(-10.0, 5.0), (0.25, 17.75), (21.0, 36.0)] {

@@ -6,9 +6,10 @@
 //! function fewer times. This crate reproduces that accounting:
 //!
 //! * [`CurrentSource`] — the `getCurrent(v1, v2)` abstraction, implemented
-//!   by [`CsdSource`] (replay a recorded/synthetic diagram, what the paper
-//!   does with qflow data) and [`PhysicsSource`] (live constant-interaction
-//!   model with optional noise).
+//!   by [`CsdSource`] (probe a [`qd_csd::PixelField`]: a recorded or
+//!   synthetic diagram, what the paper does with qflow data, or a field
+//!   that computes only the pixels read) and [`PhysicsSource`] (live
+//!   constant-interaction model with optional noise).
 //! * [`MeasurementSession`] — a source plus one window-sized pixel table
 //!   that is at once the measurement cache (re-probing a pixel costs
 //!   nothing, as in the paper's simulated evaluation), the probe counts of
@@ -16,13 +17,14 @@
 //!   virtual, `probes ×` [`PAPER_DWELL`]; [`ThrottledSource`] is the
 //!   source that paces probes in real time.
 //! * [`SourceBackend`] + [`BackendRegistry`] — runtime probe-source
-//!   selection behind one object-safe seam: `sim`, `throttled:<dwell>`,
-//!   `replay:<tape>`, `record:<tape>[+inner]`, plus embedder-registered
-//!   schemes (see [`backend`]).
+//!   selection behind one object-safe seam, each backend opening a
+//!   source over a [`SourceScenario`]'s pixel field: `sim`,
+//!   `throttled:<dwell>`, `replay:<tape>`, `record:<tape>[+inner]`, plus
+//!   embedder-registered schemes (see [`backend`]).
 //! * [`RecordingSource`] / [`ReplaySource`] — probe tapes: record every
 //!   dwell-costing probe to newline-framed JSON and play it back
 //!   bit-identically without the source (see [`tape`]).
-//! * [`HwSimBackend`] — `hwsim:<profile>`: the diagram behind a
+//! * [`HwSimBackend`] — `hwsim:<profile>`: the field behind a
 //!   register-level DAC hardware model (code quantization, limit
 //!   tables, crosstalk, 1/f drift, dead pixels), deterministic from the
 //!   scenario seed; its bus/slew time is [`HwSimProfile::scatter_cost`]

@@ -918,7 +918,6 @@ mod tests {
 
     #[test]
     fn contention_accounting_is_deterministic_in_rank_and_probe() {
-        let pool = ChannelPool::new(&MuxConfig::new(1), Duration::from_millis(1)).unwrap();
         let backend = MultiplexedBackend::new(
             MuxConfig {
                 capacity: 2,
@@ -927,7 +926,6 @@ mod tests {
             Arc::new(SimBackend),
         )
         .unwrap();
-        drop(pool);
         let mut a = backend.open(scenario("a")).unwrap();
         let mut b = backend.open(scenario("b")).unwrap();
         for k in 0..4 {

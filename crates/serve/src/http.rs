@@ -603,7 +603,25 @@ impl Reactor {
             for f in &fired {
                 self.timer_fired(*f);
             }
+            if self.wheel.needs_sweep() {
+                self.sweep_timers();
+            }
         }
+    }
+
+    /// Drops the wheel's entries that [`Reactor::timer_fired`] would
+    /// ignore as stale: their connection is gone or has moved to a new
+    /// cycle. Cancellation is lazy, so without this every request would
+    /// leave its idle, read and `?wait` timers behind until their
+    /// deadlines.
+    fn sweep_timers(&mut self) {
+        let conns = &self.conns;
+        self.wheel.retain(|token, cycle| {
+            token
+                .checked_sub(FIRST_CONN_TOKEN)
+                .and_then(|idx| conns.get(idx as usize)?.as_ref())
+                .is_some_and(|conn| conn.cycle == cycle)
+        });
     }
 
     fn begin_drain(&mut self) {

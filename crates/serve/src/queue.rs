@@ -3,12 +3,13 @@
 //! `POST /extract` submissions land here as validated [`JobRequest`]s.
 //! The [`Scheduler`] runs `jobs` long-lived workers. Each takes the
 //! oldest pending job ([`JobQueue::take`]), *realizes* its scenario into
-//! a diagram, opens a session through the request's backend and runs the
-//! same erased [`Extractor`] path every offline harness uses — the
-//! daemon adds scheduling and caching, never a second extraction code
-//! path. Jobs never wait for each other: a small job that starts after
-//! a big one can finish first, and a job that arrives while a worker is
-//! idle starts at once.
+//! a pixel field (a spec's [`DeviceField`] computes only the pixels the
+//! extractor probes), opens a session through the request's backend and
+//! runs the same erased [`Extractor`] path every offline harness uses —
+//! the daemon adds scheduling and caching, never a second extraction
+//! code path. Jobs never wait for each other: a small job that starts
+//! after a big one can finish first, and a job that arrives while a
+//! worker is idle starts at once.
 //!
 //! A job that panics finishes as an uncached `ok:false` document with
 //! the reserved category `internal`, counted by
@@ -34,7 +35,7 @@ use fastvg_core::ExtractError;
 use fastvg_obs::{SpanId, TraceId, Tracer};
 use fastvg_wire::{Json, TraceContext};
 use qd_csd::Csd;
-use qd_dataset::BenchmarkSpec;
+use qd_dataset::{BenchmarkSpec, DeviceField};
 use qd_instrument::{SourceBackend, SourceScenario};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -43,33 +44,28 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// What one job extracts: a scenario to realize into a diagram.
+/// What one job extracts: a scenario to realize into a pixel field.
 #[derive(Debug, Clone)]
 pub enum Scenario {
     /// Generate a synthetic device from a (seeded) spec.
     Spec(BenchmarkSpec),
-    /// Replay an inline charge stability diagram.
-    Grid(Box<Csd>),
+    /// Replay an inline charge stability diagram, shared with every job
+    /// that probes it.
+    Grid(Arc<Csd>),
 }
 
 impl Scenario {
-    /// Produces the diagram to probe. Spec generation is deterministic
-    /// in the spec's seed, so it does not matter which worker runs it.
-    fn realize(&self) -> Result<Csd, String> {
+    /// The field the job probes, with the generation seed (0 for inline
+    /// grids) that recording backends tape. A spec becomes a
+    /// [`DeviceField`], which computes only the pixels the extractor
+    /// reads; it is deterministic in the spec's seed, so it does not
+    /// matter which worker runs it. An inline grid is shared, not copied.
+    fn realize(&self) -> Result<SourceScenario, String> {
         match self {
-            Scenario::Spec(spec) => qd_dataset::generate(spec)
-                .map(|bench| bench.csd)
+            Scenario::Spec(spec) => DeviceField::new(spec)
+                .map(|field| SourceScenario::new(field).with_seed(spec.seed))
                 .map_err(|e| e.to_string()),
-            Scenario::Grid(csd) => Ok((**csd).clone()),
-        }
-    }
-
-    /// The generation seed behind the scenario (0 for inline grids),
-    /// recorded into tape headers by recording backends.
-    fn seed(&self) -> u64 {
-        match self {
-            Scenario::Spec(spec) => spec.seed,
-            Scenario::Grid(_) => 0,
+            Scenario::Grid(csd) => Ok(SourceScenario::new(Arc::clone(csd))),
         }
     }
 }
@@ -673,8 +669,8 @@ impl JobOutcome {
 /// serialize, then account any shared-channel stall as a `channel-wait`
 /// stage.
 fn run_job(request: &JobRequest, label: &str) -> JobOutcome {
-    let csd = match request.scenario.realize() {
-        Ok(csd) => csd,
+    let scenario = match request.scenario.realize() {
+        Ok(scenario) => scenario.with_label(label),
         Err(message) => return JobOutcome::failed("request", message, true),
     };
     let extractor: Box<dyn Extractor> = match request.method {
@@ -687,9 +683,6 @@ fn run_job(request: &JobRequest, label: &str) -> JobOutcome {
             return JobOutcome::failed("request", format!("method {other} not servable"), true)
         }
     };
-    let scenario = SourceScenario::new(csd)
-        .with_label(label)
-        .with_seed(request.scenario.seed());
     let mut session = match request.backend.session(scenario) {
         Ok(session) => session,
         // Open failures are environmental (a tape missing *right now*, a
@@ -972,30 +965,44 @@ mod tests {
 
     #[test]
     fn unrealizable_scenarios_fail_with_request_category() {
-        let (queue, _, metrics, handle) = scheduled(1);
-        // A spec the generator rejects: lever arms that make the device
-        // model singular.
-        let mut spec = BenchmarkSpec::clean(0, 64);
-        spec.lever_arms = [[0.01, 0.01], [0.01, 0.01]];
-        let canonical = spec.to_json().canonical();
-        let id = queue
-            .submit(JobRequest {
+        let (queue, cache, metrics, handle) = scheduled(1);
+        // Specs the generator rejects: lever arms that make the device
+        // model singular, and a device that builds but whose transition
+        // line is parallel to a gate axis — only the ground-truth check
+        // catches that one, so a realization that skipped it would
+        // extract (and cache) an answer instead.
+        let mut singular = BenchmarkSpec::clean(0, 64);
+        singular.lever_arms = [[0.01, 0.01], [0.01, 0.01]];
+        let axis_parallel = Json::parse(r#"{"size":64,"lever_arms":[[1,0],[0,1]],"mutual":0}"#)
+            .map(|doc| BenchmarkSpec::from_json(&doc).expect("the wire spec parses"))
+            .unwrap();
+        for (spec, reason) in [
+            (singular, ""),
+            (axis_parallel, "parallel to the gate_b axis"),
+        ] {
+            let canonical = spec.to_json().canonical();
+            let req = JobRequest {
                 fingerprint: fastvg_wire::fnv1a64(canonical.as_bytes()),
                 canonical,
                 scenario: Scenario::Spec(spec),
                 ..request(0)
-            })
-            .unwrap();
-        let finished = queue
-            .wait_finished(id, Duration::from_secs(30))
-            .expect("finishes");
-        assert!(!finished.ok);
-        let error = error_of(&finished);
-        assert_eq!(
-            error.get("category").and_then(Json::as_str),
-            Some("request")
-        );
-        assert_eq!(metrics.jobs_failed.get(), 1);
+            };
+            let id = queue.submit(req.clone()).unwrap();
+            let finished = queue
+                .wait_finished(id, Duration::from_secs(30))
+                .expect("finishes");
+            assert!(!finished.ok);
+            let error = error_of(&finished);
+            assert_eq!(
+                error.get("category").and_then(Json::as_str),
+                Some("request")
+            );
+            let message = error.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains(reason), "{message}");
+            let cached = cache.get_shared(req.fingerprint, &req.canonical).unwrap();
+            assert!(Arc::ptr_eq(&cached.body, &finished.body));
+        }
+        assert_eq!(metrics.jobs_failed.get(), 2);
         queue.stop();
         handle.join().unwrap();
     }

@@ -602,7 +602,7 @@ impl ExtractParser {
             }
             let csd = parse_grid(v)?;
             let json = grid_canonical_json(&csd);
-            (Scenario::Grid(Box::new(csd)), json)
+            (Scenario::Grid(Arc::new(csd)), json)
         };
 
         // Fingerprint the *resolved* scenario: `{"benchmark": 3}` and the

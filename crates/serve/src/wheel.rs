@@ -10,10 +10,20 @@
 //! transition, so a fired entry whose cycle no longer matches is simply
 //! stale and dropped.
 //!
+//! Lazily cancelled entries still occupy the wheel until their deadline
+//! (up to a minute for a `?wait` fallback), so under load the wheel
+//! would hold request rate × a minute of dead entries. The owner sweeps
+//! them with [`TimerWheel::retain`] whenever [`TimerWheel::needs_sweep`]
+//! says the wheel has doubled since the last sweep: amortized `O(1)` per
+//! arm, and the wheel stays within twice its live set (or a small floor).
+//!
 //! Timers are coarse by design (one tick of slack, default 25 ms): these
 //! are liveness deadlines measured in seconds, not schedulers.
 
 use std::time::{Duration, Instant};
+
+/// Smallest entry count that prompts a sweep.
+const SWEEP_FLOOR: usize = 64;
 
 /// One armed timer: fire for `token` if its `cycle` still matches.
 #[derive(Debug, Clone, Copy)]
@@ -43,6 +53,8 @@ pub struct TimerWheel {
     /// Wall-clock start of the cursor slot.
     cursor_time: Instant,
     len: usize,
+    /// Entry count at which [`TimerWheel::needs_sweep`] turns true.
+    sweep_at: usize,
 }
 
 impl TimerWheel {
@@ -56,6 +68,7 @@ impl TimerWheel {
             cursor: 0,
             cursor_time: Instant::now(),
             len: 0,
+            sweep_at: SWEEP_FLOOR,
         }
     }
 
@@ -85,6 +98,22 @@ impl TimerWheel {
             cycle,
         });
         self.len += 1;
+    }
+
+    /// Whether the wheel has doubled (or reached the floor) since the
+    /// last [`TimerWheel::retain`], so a sweep is worth its `O(len)`.
+    pub fn needs_sweep(&self) -> bool {
+        self.len >= self.sweep_at
+    }
+
+    /// Keeps only the entries for which `keep(token, cycle)` holds — the
+    /// owner drops timers whose connection is gone or has moved on.
+    pub fn retain(&mut self, mut keep: impl FnMut(u64, u64) -> bool) {
+        for slot in &mut self.slots {
+            slot.retain(|entry| keep(entry.token, entry.cycle));
+        }
+        self.len = self.slots.iter().map(Vec::len).sum();
+        self.sweep_at = (2 * self.len).max(SWEEP_FLOOR);
     }
 
     fn slot_for(&self, deadline: Instant) -> usize {
@@ -204,6 +233,31 @@ mod tests {
         wheel.schedule(now - Duration::from_secs(1), 4, 1);
         let fired = drain(&mut wheel, now + Duration::from_millis(20));
         assert_eq!(fired, vec![Fired { token: 4, cycle: 1 }]);
+    }
+
+    #[test]
+    fn sweeps_keep_a_churning_wheel_bounded_and_live_timers_firing() {
+        // Token 1 holds one live 100-ms timer throughout. Token 0 arms a
+        // one-minute timer 100k times, moving to a new cycle after each
+        // arm, under the owner's rule: sweep whenever the wheel asks,
+        // keeping entries whose cycle is their token's current one.
+        let mut wheel = TimerWheel::new(Duration::from_millis(25), 1024);
+        let now = Instant::now();
+        let mut cycles = [0u64, 5];
+        wheel.schedule(now + Duration::from_millis(100), 1, cycles[1]);
+        let mut peak = 0;
+        for _ in 0..100_000 {
+            wheel.schedule(now + Duration::from_secs(60), 0, cycles[0]);
+            cycles[0] += 1;
+            if wheel.needs_sweep() {
+                wheel.retain(|token, cycle| cycles[token as usize] == cycle);
+            }
+            peak = peak.max(wheel.len());
+        }
+        assert!(peak <= SWEEP_FLOOR, "peak {peak} entries");
+        assert!(drain(&mut wheel, now + Duration::from_millis(50)).is_empty());
+        let fired = drain(&mut wheel, now + Duration::from_millis(150));
+        assert_eq!(fired, vec![Fired { token: 1, cycle: 5 }]);
     }
 
     #[test]

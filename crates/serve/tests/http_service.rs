@@ -494,3 +494,57 @@ fn cache_peering_can_be_disabled() {
     daemon.shutdown();
     daemon.join();
 }
+
+/// `body` with the value of every wall-clock field (`compute_time_ns`,
+/// each stage's `elapsed_ns`) replaced by 0.
+fn without_timing(body: &[u8]) -> String {
+    let mut text = String::from_utf8(body.to_vec()).unwrap();
+    for key in ["\"compute_time_ns\":", "\"elapsed_ns\":"] {
+        let mut from = 0;
+        while let Some(at) = text[from..].find(key) {
+            let start = from + at + key.len();
+            let len = text[start..]
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(text.len() - start);
+            text.replace_range(start..start + len, "0");
+            from = start;
+        }
+    }
+    text
+}
+
+#[test]
+fn a_recorded_spec_request_replays_to_the_same_result() {
+    let dir = std::env::temp_dir().join(format!("fastvg-serve-tape-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let tape = dir.join("t.tape");
+    let spec = qd_dataset::paper_specs()
+        .into_iter()
+        .find(|s| s.index == 6)
+        .unwrap()
+        .to_json()
+        .dump();
+    let body = format!("{{\"spec\": {spec}, \"method\": \"fast\"}}");
+    let answer = |backend: String| {
+        let daemon = boot_with(|cfg| cfg.backend = backend);
+        let response = connect(&daemon)
+            .post("/extract?wait", body.as_bytes())
+            .unwrap();
+        daemon.shutdown();
+        daemon.join();
+        assert_eq!(response.status, 200);
+        assert_eq!(response.header("x-fastvg-cache"), Some("miss"));
+        response.body
+    };
+
+    let recorded = answer(format!("record:{}", tape.display()));
+    assert!(tape.exists(), "the record daemon wrote its tape");
+    let replayed = answer(format!("replay:{}", tape.display()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let doc = Json::parse(std::str::from_utf8(&recorded).unwrap().trim()).unwrap();
+    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
+    let masked = without_timing(&recorded);
+    assert!(masked.contains("\"compute_time_ns\":0") && masked.contains("\"elapsed_ns\":0"));
+    assert_eq!(masked, without_timing(&replayed));
+}

@@ -78,11 +78,26 @@ fn sim_reference(index: usize) -> Fingerprint {
         .clone()
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
+/// The `policy=ed` config of `channels` channels, `cap=capacity` and
+/// `w=weight` whose generator is the first one at or after
+/// `raw_generator` (counting round the frame `w·cap`) that the spec
+/// parser admits — generator 1 always is.
+fn admissible_ed(
+    channels: usize,
+    capacity: usize,
+    weight: usize,
+    raw_generator: usize,
+) -> MuxConfig {
+    let frame = weight * capacity;
+    (0..frame)
+        .map(|step| 1 + (raw_generator - 1 + step) % frame)
+        .find_map(|i| {
+            MuxConfig::parse(&format!(
+                "{channels},cap={capacity},policy=ed,w={weight},i={i}"
+            ))
+            .ok()
+        })
+        .expect("generator 1 is admissible")
 }
 
 /// The ISSUE's headline identity: `multiplexed:1+sim` over the full
@@ -169,18 +184,11 @@ proptest! {
     fn equi_difference_schedules_are_collision_free(
         capacity in 1usize..17,
         weight in 1usize..9,
-        raw_generator in 1u64..1000,
+        raw_generator in 1usize..1000,
     ) {
         let n = (weight * capacity) as u64;
-        // Nudge the sampled generator to the next unit of Z_n — the same
-        // admissibility rule the spec parser enforces (gcd(i, w·cap) = 1
-        // always has solutions, 1 itself being one).
-        let mut generator = 1 + (raw_generator - 1) % n;
-        while gcd(generator, n) != 1 {
-            generator = generator % n + 1;
-        }
-        let policy = MuxPolicy::EquiDifference { weight, generator: generator as usize };
-        let (frame, codewords) = policy.codewords(capacity).unwrap();
+        let config = admissible_ed(1, capacity, weight, raw_generator);
+        let (frame, codewords) = config.policy.codewords(capacity).unwrap();
         prop_assert_eq!(frame, n);
 
         // In-frame disjointness across every pair of ranks.
@@ -229,16 +237,12 @@ proptest! {
         channels in 1usize..3,
         capacity in 1usize..9,
         weight in 1usize..5,
-        raw_generator in 1u64..100,
+        raw_generator in 1usize..100,
         equi_difference in 0u32..2,
     ) {
         let spec = if equi_difference == 1 {
-            let n = (weight * capacity) as u64;
-            let mut generator = 1 + (raw_generator - 1) % n;
-            while gcd(generator, n) != 1 {
-                generator = generator % n + 1;
-            }
-            format!("multiplexed:{channels},cap={capacity},policy=ed,w={weight},i={generator}")
+            let config = admissible_ed(channels, capacity, weight, raw_generator);
+            format!("multiplexed:{}", config.canonical_args())
         } else {
             format!("multiplexed:{channels},cap={capacity}")
         };
