@@ -34,16 +34,6 @@ impl<S: CurrentSource> ThrottledSource<S> {
     pub fn new(inner: S, dwell: Duration) -> Self {
         Self { inner, dwell }
     }
-
-    /// The emulated per-probe dwell.
-    pub fn dwell(&self) -> Duration {
-        self.dwell
-    }
-
-    /// Unwraps the underlying source.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
 }
 
 impl<S: CurrentSource> CurrentSource for ThrottledSource<S> {
@@ -115,15 +105,5 @@ mod tests {
             t.elapsed()
         );
         assert_eq!(session.probe_count(), 1);
-    }
-
-    #[test]
-    fn accessors_expose_configuration() {
-        let s = ThrottledSource::new(
-            FnSource::new(|_, _| 0.0, window()),
-            Duration::from_micros(50),
-        );
-        assert_eq!(s.dwell(), Duration::from_micros(50));
-        let _inner = s.into_inner();
     }
 }

@@ -8,7 +8,6 @@
 //! * the Canny baseline blurs the CSD with a 2-D (separable) Gaussian before
 //!   Sobel differentiation, mirroring OpenCV's pipeline.
 
-use crate::conv::Kernel2;
 use crate::NumericsError;
 
 /// Normalized 1-D Gaussian kernel of odd length `len` and standard
@@ -55,23 +54,6 @@ pub fn kernel1(len: usize, sigma: f64) -> Result<Vec<f64>, NumericsError> {
         *t /= total;
     }
     Ok(taps)
-}
-
-/// Normalized 2-D Gaussian kernel of size `len × len` (outer product of the
-/// 1-D kernel with itself).
-///
-/// # Errors
-///
-/// Same conditions as [`kernel1`].
-pub fn kernel2(len: usize, sigma: f64) -> Result<Kernel2, NumericsError> {
-    let k1 = kernel1(len, sigma)?;
-    let mut data = Vec::with_capacity(len * len);
-    for &a in &k1 {
-        for &b in &k1 {
-            data.push(a * b);
-        }
-    }
-    Kernel2::new(len, len, data)
 }
 
 /// Unnormalized Gaussian *window* of length `len` centred at sample index
@@ -137,13 +119,6 @@ mod tests {
         assert!(kernel1(5, 0.0).is_err());
         assert!(kernel1(5, f64::NAN).is_err());
         assert!(kernel1(0, 1.0).is_err());
-    }
-
-    #[test]
-    fn kernel2_sums_to_one() {
-        let k = kernel2(5, 1.0).unwrap();
-        assert!((k.sum() - 1.0).abs() < 1e-12);
-        assert_eq!(k.shape(), (5, 5));
     }
 
     #[test]

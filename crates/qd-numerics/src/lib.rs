@@ -5,8 +5,8 @@
 //! pipeline needs, implemented from scratch so the workspace has no heavy
 //! numerics dependency:
 //!
-//! * [`conv`] — 1-D and 2-D convolution / cross-correlation with `same`
-//!   and `valid` boundary modes, plus separable-kernel fast paths.
+//! * [`conv`] — `same`-size 1-D and separable 2-D cross-correlation with
+//!   replicate or zero boundaries (the Canny baseline's Gaussian blur).
 //! * [`gaussian`] — Gaussian kernels and 1-D Gaussian weighting windows
 //!   (used by the anchor-point preprocessing of the paper's §4.4).
 //! * [`lsq`] — linear least squares, polynomial fits and a Theil–Sen

@@ -30,14 +30,25 @@
 //! * weights `w = exp(−(U − u_min) / kT)`, with `Z` and `⟨N_i⟩`
 //!   accumulated in configuration order and `⟨N_i⟩ / Z` last (`kT = 0`
 //!   returns the ground state);
+//! * a configuration whose exponent `x = −(U − u_min) / kT` is below
+//!   −746 is skipped: there `exp(x)` is exactly `+0.0`, and adding `+0.0`
+//!   to `Z` or `⟨N_i⟩` (never `−0.0`) leaves every bit alone. A NaN
+//!   exponent fails the test and goes through `exp` as before. Most
+//!   visits of a realized diagram are skipped this way;
 //! * the sensor current `I₀ + ½·swing·tanh(φ / scale)` of
 //!   [`crate::SensorModel::current`].
 //!
-//! Reordering any sum, fusing a multiply-add or storing a rescaled weight
-//! would move the last bit of realized diagrams and break the golden
-//! digests that pin them.
+//! Reordering any sum, fusing a multiply-add, storing a rescaled weight
+//! or skipping exponents that `exp` maps to a subnormal would move the
+//! last bit of realized diagrams and break the golden digests that pin
+//! them.
 
 use crate::{CapacitanceModel, PhysicsError};
+
+/// Every Boltzmann exponent below this has `exp` exactly `+0.0`: `f64`
+/// underflows to zero below about −745.13, and subnormal weights live
+/// between there and −708.4, so the margin keeps them all.
+const UNDERFLOW_EXPONENT: f64 = -746.0;
 
 /// An integer charge configuration of the dot array, e.g. `(1, 0)` for one
 /// electron in dot 1 and none in dot 2.
@@ -210,7 +221,11 @@ impl ChargeStateSolver {
         let mut z = 0.0;
         mean.fill(0.0);
         self.for_each_config(n_dots, |occ| {
-            let w = (-(model.energy_at(q, occ) - u_min) / kt).exp();
+            let x = -(model.energy_at(q, occ) - u_min) / kt;
+            if x < UNDERFLOW_EXPONENT {
+                return; // `exp(x)` is +0, and adding +0 changes nothing
+            }
+            let w = x.exp();
             z += w;
             for (m, &n) in mean.iter_mut().zip(occ) {
                 *m += w * n;
@@ -253,6 +268,7 @@ impl Default for ChargeStateSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn model() -> CapacitanceModel {
         CapacitanceModel::new(
@@ -380,5 +396,78 @@ mod tests {
             hi.unwrap_or(100.0) - lo.unwrap_or(0.0)
         };
         assert!(width(0.04) > width(0.01));
+    }
+
+    /// The thermal weight loop without the underflow skip: every
+    /// configuration goes through `exp`.
+    fn unskipped_occupation(
+        s: &ChargeStateSolver,
+        m: &CapacitanceModel,
+        v: &[f64],
+        kt: f64,
+    ) -> Vec<f64> {
+        let q = m.induced_charge(v).unwrap();
+        let mut u_min = f64::INFINITY;
+        s.for_each_config(m.n_dots(), |occ| u_min = u_min.min(m.energy_at(&q, occ)));
+        let mut z = 0.0;
+        let mut mean = vec![0.0; m.n_dots()];
+        s.for_each_config(m.n_dots(), |occ| {
+            let w = (-(m.energy_at(&q, occ) - u_min) / kt).exp();
+            z += w;
+            for (mi, &n) in mean.iter_mut().zip(occ) {
+                *mi += w * n;
+            }
+        });
+        for mi in &mut mean {
+            *mi /= z;
+        }
+        mean
+    }
+
+    proptest! {
+        /// Skipping underflowing weights leaves every bit of the thermal
+        /// occupation alone: at a random `kt` in `[1e-4, 1]`, and at the
+        /// `kt` that puts the lowest excited configuration's exponent at
+        /// `-edge`, on either side of −746 and past the subnormal range.
+        #[test]
+        fn underflow_skip_keeps_every_bit(
+            arms in (0.002..0.02, 0.0..0.005, 0.0..0.005, 0.002..0.02),
+            total_1 in 0.5..2.0,
+            total_2 in 0.5..2.0,
+            mutual in 0.0..0.4,
+            v1 in -20.0..200.0,
+            v2 in -20.0..200.0,
+            log_kt in -4.0..0.0,
+            edge in 690.0..770.0,
+            max_electrons in 1u32..4,
+        ) {
+            let m = CapacitanceModel::new(
+                &[total_1, total_2],
+                &[(0, 1, mutual)],
+                &[vec![arms.0, arms.1], vec![arms.2, arms.3]],
+            );
+            prop_assume!(m.is_ok());
+            let m = m.unwrap();
+            let s = ChargeStateSolver::new(max_electrons).unwrap();
+            let v = [v1, v2];
+            let q = m.induced_charge(&v).unwrap();
+            let mut energies = Vec::new();
+            s.for_each_config(2, |occ| energies.push(m.energy_at(&q, occ)));
+            let u_min = energies.iter().copied().fold(f64::INFINITY, f64::min);
+            let gap = energies
+                .iter()
+                .map(|u| u - u_min)
+                .filter(|&g| g > 0.0)
+                .fold(f64::INFINITY, f64::min);
+            for kt in [10f64.powf(log_kt), gap / edge] {
+                let got = s.thermal_occupation(&m, &v, kt).unwrap();
+                let want = unskipped_occupation(&s, &m, &v, kt);
+                prop_assert_eq!(
+                    got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    "kt {} at V {:?}", kt, v
+                );
+            }
+        }
     }
 }

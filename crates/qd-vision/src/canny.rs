@@ -85,6 +85,15 @@ impl EdgeMap {
 
 /// Runs Canny edge detection on a diagram.
 ///
+/// Non-maximum suppression keeps a pixel's gradient magnitude `m` when
+/// `m` is at least both neighbours' along the gradient direction,
+/// quantized to 0°, 45°, 90° or 135° (neighbours outside the image count
+/// as 0), and counts it as 0 otherwise. Kept values at or above `high`
+/// are strong, those at or above `low` weak; the edges are the strong
+/// pixels plus every weak pixel 8-connected to one through weak pixels.
+/// Direction work is done only where `m ≥ low`, the only pixels it can
+/// change.
+///
 /// # Errors
 ///
 /// * [`VisionError::InvalidParameter`] for bad blur parameters or
@@ -129,55 +138,58 @@ pub fn canny(csd: &Csd, params: CannyParams) -> Result<EdgeMap, VisionError> {
         ),
     };
 
-    // Non-maximum suppression: quantize direction to 4 sectors and keep
-    // pixels that dominate both neighbours along the gradient.
-    let mut nms = vec![0.0; w * h];
-    for (i, slot) in nms.iter_mut().enumerate() {
-        let (x, y) = (i % w, i / w);
-        let m = grad.magnitude(x, y);
-        if m == 0.0 {
-            continue;
-        }
-        let theta = grad.direction(x, y);
-        // Sector in [0, 180): 0 = horizontal gradient (vertical edge).
-        let deg = theta.to_degrees().rem_euclid(180.0);
-        let (dx, dy): (isize, isize) = if !(22.5..157.5).contains(&deg) {
-            (1, 0)
-        } else if deg < 67.5 {
-            (1, 1)
-        } else if deg < 112.5 {
-            (0, 1)
+    // Non-maximum suppression fused with the double threshold. A pixel
+    // below `low` is unvisited whether or not it is a local maximum, so
+    // its direction is never computed.
+    const UNVISITED: u8 = 0;
+    const WEAK: u8 = 1;
+    const STRONG: u8 = 2;
+    let class_of = |m: f64| {
+        if m >= high {
+            STRONG
+        } else if m >= low {
+            WEAK
         } else {
-            (-1, 1)
-        };
-        let sample = |xx: isize, yy: isize| -> f64 {
-            if xx < 0 || yy < 0 || xx >= w as isize || yy >= h as isize {
-                0.0
+            UNVISITED
+        }
+    };
+    let mags = grad.magnitudes();
+    let mut class = vec![UNVISITED; w * h];
+    // Strong pixels seed the hysteresis flood fill, in index order.
+    let mut stack = Vec::new();
+    for (i, &m) in mags.iter().enumerate() {
+        let kept = m >= low && m != 0.0 && {
+            let (x, y) = (i % w, i / w);
+            let theta = grad.direction(x, y);
+            // Sector in [0, 180): 0 = horizontal gradient (vertical edge).
+            let deg = theta.to_degrees().rem_euclid(180.0);
+            let (dx, dy): (isize, isize) = if !(22.5..157.5).contains(&deg) {
+                (1, 0)
+            } else if deg < 67.5 {
+                (1, 1)
+            } else if deg < 112.5 {
+                (0, 1)
             } else {
-                grad.magnitude(xx as usize, yy as usize)
-            }
+                (-1, 1)
+            };
+            let sample = |xx: isize, yy: isize| -> f64 {
+                if xx < 0 || yy < 0 || xx >= w as isize || yy >= h as isize {
+                    0.0
+                } else {
+                    mags[yy as usize * w + xx as usize]
+                }
+            };
+            let fwd = sample(x as isize + dx, y as isize + dy);
+            let back = sample(x as isize - dx, y as isize - dy);
+            m >= fwd && m >= back
         };
-        let fwd = sample(x as isize + dx, y as isize + dy);
-        let back = sample(x as isize - dx, y as isize - dy);
-        if m >= fwd && m >= back {
-            *slot = m;
+        class[i] = class_of(if kept { m } else { 0.0 });
+        if class[i] == STRONG {
+            stack.push(i);
         }
     }
 
     // Hysteresis: strong pixels seed a flood fill through weak pixels.
-    const UNVISITED: u8 = 0;
-    const WEAK: u8 = 1;
-    const STRONG: u8 = 2;
-    let mut class = vec![UNVISITED; w * h];
-    let mut stack = Vec::new();
-    for (i, &m) in nms.iter().enumerate() {
-        if m >= high {
-            class[i] = STRONG;
-            stack.push(i);
-        } else if m >= low {
-            class[i] = WEAK;
-        }
-    }
     let mut edges = vec![false; w * h];
     while let Some(i) = stack.pop() {
         if edges[i] {

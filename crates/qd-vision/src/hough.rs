@@ -75,6 +75,12 @@ impl HoughLine {
 
 /// Runs the Hough transform and returns peak lines, strongest first.
 ///
+/// Peaks are taken greedily: the cell with the most votes, ties to the
+/// highest ρ–θ index (`θ_bin · n_rho + ρ_bin`), then the next strongest
+/// cell outside every earlier peak's suppression square, until
+/// `max_lines` lines or no cell with at least `peak_fraction` of the
+/// maximum votes is left.
+///
 /// # Errors
 ///
 /// * [`VisionError::InvalidParameter`] for a zero `n_theta`/`max_lines`,
@@ -109,12 +115,13 @@ pub fn hough_lines(edges: &EdgeMap, params: HoughParams) -> Result<Vec<HoughLine
     let rho_max = (w * w + h * h).sqrt();
     let n_rho = (2.0 * rho_max / params.rho_resolution).ceil() as usize + 1;
     let n_theta = params.n_theta;
+    let theta_of = |ti: usize| ti as f64 * std::f64::consts::PI / n_theta as f64;
 
     // Precompute sin/cos per θ bin.
-    let thetas: Vec<f64> = (0..n_theta)
-        .map(|i| i as f64 * std::f64::consts::PI / n_theta as f64)
+    let trig: Vec<(f64, f64)> = (0..n_theta)
+        .map(theta_of)
+        .map(|t| (t.cos(), t.sin()))
         .collect();
-    let trig: Vec<(f64, f64)> = thetas.iter().map(|&t| (t.cos(), t.sin())).collect();
 
     let mut acc = vec![0u32; n_theta * n_rho];
     for p in &pixels {
@@ -134,28 +141,32 @@ pub fn hough_lines(edges: &EdgeMap, params: HoughParams) -> Result<Vec<HoughLine
     }
     let threshold = ((max_votes as f64) * params.peak_fraction).ceil() as u32;
 
-    // Greedy peak extraction with neighbourhood suppression. θ wraps
-    // around π (a line at θ≈0 also appears near θ≈π with negated ρ), so
-    // suppression is applied on the wrapped coordinate too.
-    let mut work = acc;
+    // Greedy peak extraction with neighbourhood suppression: the next
+    // peak is the strongest cell not yet suppressed, ties to the highest
+    // index. Suppression only zeroes cells and a cell below the threshold
+    // never becomes a peak, so one list of the cells at or above the
+    // threshold, sorted once, yields the peaks in order.
+    let mut candidates: Vec<usize> = (0..acc.len()).filter(|&i| acc[i] >= threshold).collect();
+    candidates.sort_unstable_by(|&a, &b| acc[b].cmp(&acc[a]).then(b.cmp(&a)));
     let mut out = Vec::new();
     let r = params.suppression_radius as isize;
-    while out.len() < params.max_lines {
-        let (best_i, &best_v) = work
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &v)| v)
-            .expect("accumulator is non-empty");
-        if best_v < threshold || best_v == 0 {
+    for best_i in candidates {
+        if out.len() == params.max_lines {
             break;
+        }
+        let best_v = acc[best_i];
+        if best_v == 0 {
+            continue; // suppressed by an earlier peak
         }
         let ti = (best_i / n_rho) as isize;
         let ri = (best_i % n_rho) as isize;
         out.push(HoughLine {
             rho: ri as f64 * params.rho_resolution - rho_max,
-            theta: thetas[ti as usize],
+            theta: theta_of(ti as usize),
             votes: best_v as usize,
         });
+        // θ wraps around π (a line at θ≈0 also appears near θ≈π with
+        // negated ρ), so suppression applies on the wrapped coordinate.
         for dt in -r..=r {
             for dr in -r..=r {
                 let mut t = ti + dt;
@@ -171,7 +182,7 @@ pub fn hough_lines(edges: &EdgeMap, params: HoughParams) -> Result<Vec<HoughLine
                 if rr < 0 || rr >= n_rho as isize {
                     continue;
                 }
-                work[t as usize * n_rho + rr as usize] = 0;
+                acc[t as usize * n_rho + rr as usize] = 0;
             }
         }
     }

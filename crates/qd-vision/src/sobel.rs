@@ -2,7 +2,10 @@
 
 use crate::VisionError;
 use qd_csd::Csd;
-use qd_numerics::conv::{correlate2, Boundary, Kernel2};
+
+/// The Sobel pair, row-major: kernel row 0 weighs image row `y − 1`.
+const KX: [f64; 9] = [-1.0, 0.0, 1.0, -2.0, 0.0, 2.0, -1.0, 0.0, 1.0];
+const KY: [f64; 9] = [-1.0, -2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 1.0];
 
 /// Dense gradient field of an image: per-pixel x/y derivatives, magnitude
 /// and direction.
@@ -92,17 +95,29 @@ pub fn sobel(csd: &Csd) -> Result<GradientField, VisionError> {
             got: w.min(h),
         });
     }
-    let kx = Kernel2::new(3, 3, vec![-1.0, 0.0, 1.0, -2.0, 0.0, 2.0, -1.0, 0.0, 1.0])
-        .expect("static kernel is valid");
-    let ky = Kernel2::new(3, 3, vec![-1.0, -2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 1.0])
-        .expect("static kernel is valid");
-    let gx = correlate2(csd.data(), h, w, &kx, Boundary::Replicate).expect("shape verified above");
-    let gy = correlate2(csd.data(), h, w, &ky, Boundary::Replicate).expect("shape verified above");
-    let magnitude = gx
-        .iter()
-        .zip(&gy)
-        .map(|(a, b)| (a * a + b * b).sqrt())
-        .collect();
+    let data = csd.data();
+    let mut gx = Vec::with_capacity(w * h);
+    let mut gy = Vec::with_capacity(w * h);
+    let mut magnitude = Vec::with_capacity(w * h);
+    // One pass, both kernels: each sum starts at 0.0 and adds its nine
+    // taps in row-major order, with replicate clamping at the border.
+    for y in 0..h {
+        let rows = [y.saturating_sub(1), y, (y + 1).min(h - 1)];
+        for x in 0..w {
+            let cols = [x.saturating_sub(1), x, (x + 1).min(w - 1)];
+            let (mut ax, mut ay) = (0.0, 0.0);
+            for (kr, &r) in rows.iter().enumerate() {
+                for (kc, &c) in cols.iter().enumerate() {
+                    let v = data[r * w + c];
+                    ax += v * KX[kr * 3 + kc];
+                    ay += v * KY[kr * 3 + kc];
+                }
+            }
+            gx.push(ax);
+            gy.push(ay);
+            magnitude.push((ax * ax + ay * ay).sqrt());
+        }
+    }
     Ok(GradientField {
         width: w,
         height: h,

@@ -214,46 +214,68 @@ struct ProxyJob {
     enqueued: Instant,
 }
 
-/// The bounded hand-off between the reactor and the proxy workers.
-#[derive(Default)]
-struct WorkQueue {
-    jobs: Mutex<VecDeque<ProxyJob>>,
+/// The bounded hand-off between the reactor and the proxy workers
+/// (generic only so its tests can queue plain values).
+struct WorkQueue<T> {
+    state: Mutex<QueueState<T>>,
     available: Condvar,
-    stopped: Mutex<bool>,
 }
 
-impl WorkQueue {
+/// What the queue's one lock guards. The stop flag sits beside the jobs:
+/// a worker that found the queue open is waiting on the condvar before
+/// `stop` can take the lock to close it, so the wake-up cannot be lost.
+struct QueueState<T> {
+    jobs: VecDeque<T>,
+    stopped: bool,
+}
+
+impl<T> WorkQueue<T> {
+    fn new() -> Self {
+        Self {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                stopped: false,
+            }),
+            available: Condvar::new(),
+        }
+    }
+
     /// Enqueues unless the queue is at `capacity`; full means the fleet
     /// is slower than the offered load — the job (and its completer) is
     /// dropped and the caller answers `503` inline.
-    fn push(&self, job: ProxyJob, capacity: usize) -> Option<usize> {
-        let mut jobs = self.jobs.lock().expect("work queue poisoned");
-        if jobs.len() >= capacity {
+    fn push(&self, job: T, capacity: usize) -> Option<usize> {
+        let mut state = self.state.lock().expect("work queue poisoned");
+        if state.jobs.len() >= capacity {
             return None;
         }
-        jobs.push_back(job);
-        let depth = jobs.len();
-        drop(jobs);
+        state.jobs.push_back(job);
+        let depth = state.jobs.len();
+        drop(state);
         self.available.notify_one();
         Some(depth)
     }
 
-    /// Blocks until a job arrives or the queue is stopped.
-    fn pop(&self) -> Option<ProxyJob> {
-        let mut jobs = self.jobs.lock().expect("work queue poisoned");
+    /// Blocks until a job arrives or the queue is stopped; jobs queued
+    /// before the stop still drain.
+    fn pop(&self) -> Option<T> {
+        let mut state = self.state.lock().expect("work queue poisoned");
         loop {
-            if let Some(job) = jobs.pop_front() {
+            if let Some(job) = state.jobs.pop_front() {
                 return Some(job);
             }
-            if *self.stopped.lock().expect("stop flag poisoned") {
+            if state.stopped {
                 return None;
             }
-            jobs = self.available.wait(jobs).expect("work queue poisoned");
+            state = self.available.wait(state).expect("work queue poisoned");
         }
     }
 
+    fn depth(&self) -> usize {
+        self.state.lock().map(|s| s.jobs.len()).unwrap_or(0)
+    }
+
     fn stop(&self) {
-        *self.stopped.lock().expect("stop flag poisoned") = true;
+        self.state.lock().expect("work queue poisoned").stopped = true;
         self.available.notify_all();
     }
 }
@@ -272,7 +294,7 @@ pub struct RouterService {
     metrics: RouterMetrics,
     peer_shards: Vec<PeerShardCounters>,
     tracer: Arc<Tracer>,
-    queue: Arc<WorkQueue>,
+    queue: Arc<WorkQueue<ProxyJob>>,
     started: Instant,
     pub(crate) server_stats: OnceLock<Arc<ServerStats>>,
     pub(crate) shutdown: OnceLock<fastvg_serve::ShutdownHandle>,
@@ -338,7 +360,7 @@ impl RouterService {
                 .map(|_| PeerShardCounters::default())
                 .collect(),
             tracer,
-            queue: Arc::new(WorkQueue::default()),
+            queue: Arc::new(WorkQueue::new()),
             started: Instant::now(),
             server_stats: OnceLock::new(),
             shutdown: OnceLock::new(),
@@ -386,13 +408,7 @@ impl RouterService {
         while let Some(job) = self.queue.pop() {
             let response = self.process(&job.request, job.enqueued);
             self.metrics.proxy_latency.observe(job.enqueued.elapsed());
-            self.metrics.queue_depth.set(
-                self.queue
-                    .jobs
-                    .lock()
-                    .map(|jobs| jobs.len() as u64)
-                    .unwrap_or(0),
-            );
+            self.metrics.queue_depth.set(self.queue.depth() as u64);
             job.completer.complete(response);
         }
     }
@@ -980,6 +996,50 @@ pub fn wait_healthy(addr: &str, deadline: Duration) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stopped_queues_drain_then_release_every_worker() {
+        let queue = WorkQueue::new();
+        for job in 0..3 {
+            assert_eq!(queue.push(job, 3), Some(job + 1));
+        }
+        assert_eq!(queue.push(3, 3), None, "a full queue refuses");
+        queue.stop();
+        assert_eq!(
+            (queue.pop(), queue.pop(), queue.pop()),
+            (Some(0), Some(1), Some(2))
+        );
+        assert_eq!(queue.pop(), None);
+        assert_eq!(queue.pop(), None, "pop after stop never blocks");
+
+        // Workers parked on the empty queue, or looping through `pop`
+        // while jobs arrive, all exit once it stops.
+        for round in 0..200 {
+            let queue = Arc::new(WorkQueue::new());
+            let (done, exits) = std::sync::mpsc::channel();
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    let (queue, done) = (Arc::clone(&queue), done.clone());
+                    std::thread::spawn(move || {
+                        while queue.pop().is_some() {}
+                        done.send(()).unwrap();
+                    })
+                })
+                .collect();
+            for job in 0..round % 16 {
+                queue.push(job, usize::MAX);
+            }
+            queue.stop();
+            for _ in &workers {
+                exits
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("round {round}: a worker missed the stop"));
+            }
+            for worker in workers {
+                worker.join().unwrap();
+            }
+        }
+    }
 
     #[test]
     fn job_ids_round_trip_through_the_gid_encoding() {
