@@ -166,17 +166,14 @@ pub fn hough_lines(edges: &EdgeMap, params: HoughParams) -> Result<Vec<HoughLine
             votes: best_v as usize,
         });
         // θ wraps around π (a line at θ≈0 also appears near θ≈π with
-        // negated ρ), so suppression applies on the wrapped coordinate.
+        // negated ρ), so suppression applies on the wrapped coordinate:
+        // each wrap mirrors ρ, so an odd number of wraps mirrors it.
         for dt in -r..=r {
+            let t = (ti + dt).rem_euclid(n_theta as isize);
+            let mirrored = (ti + dt).div_euclid(n_theta as isize) % 2 != 0;
             for dr in -r..=r {
-                let mut t = ti + dt;
                 let mut rr = ri + dr;
-                // Wrap θ, mirroring ρ.
-                if t < 0 {
-                    t += n_theta as isize;
-                    rr = (n_rho as isize - 1) - rr;
-                } else if t >= n_theta as isize {
-                    t -= n_theta as isize;
+                if mirrored {
                     rr = (n_rho as isize - 1) - rr;
                 }
                 if rr < 0 || rr >= n_rho as isize {
@@ -201,6 +198,19 @@ mod tests {
 
     fn edges_of(csd: &Csd) -> EdgeMap {
         canny(csd, CannyParams::default()).unwrap()
+    }
+
+    #[test]
+    fn suppression_wider_than_the_theta_range_wraps_in_bounds() {
+        // A radius of twice `n_theta` wraps θ more than once either way.
+        let c = Csd::from_fn(grid(20, 20), |_, v2| if v2 < 10.0 { 3.0 } else { 1.0 }).unwrap();
+        let params = HoughParams {
+            n_theta: 4,
+            suppression_radius: 8,
+            ..HoughParams::default()
+        };
+        let lines = hough_lines(&edges_of(&c), params).unwrap();
+        assert!(!lines.is_empty());
     }
 
     #[test]

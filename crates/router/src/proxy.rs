@@ -3,10 +3,10 @@
 //!
 //! The reactor thread never does upstream I/O. Every proxied request is
 //! pushed onto a bounded work queue and answered through the deferred
-//! [`Completer`] by one of the worker threads, with the reactor's timer
-//! wheel firing a `503` fallback if a worker wedges past the deadline —
-//! the same never-block-the-reactor contract `fastvg-serve` itself
-//! follows for `?wait` extractions.
+//! [`Completer`] by one of the worker threads, with the reactor answering
+//! a `503` fallback if a worker wedges past the deadline — the same
+//! never-block-the-reactor contract `fastvg-serve` itself follows for
+//! `?wait` extractions.
 //!
 //! # Where peering lives, and why it is router-driven
 //!
@@ -702,16 +702,22 @@ impl RouterService {
     /// else is relayed byte-for-byte — cache hits stay byte-identical
     /// through the router.
     fn relay(&self, upstream: ClientResponse, shard: usize, cache: Option<&str>) -> Response {
-        let mut body = upstream.body.clone();
         let job_gid = upstream
             .header("x-fastvg-job")
             .and_then(|v| v.parse::<u64>().ok())
             .map(|local| encode_job(local, shard));
-        if let Some(gid) = job_gid {
-            // `202`/poll bodies carry the id as a "job" member; finished
-            // bodies are the result document and carry no id, which is
-            // what keeps them byte-identical across shards.
-            if let Ok(doc) = Json::parse(String::from_utf8_lossy(&upstream.body).trim_end()) {
+        // Queued/running status bodies carry the id as a "job" member.
+        // Finished bodies (marked by `x-fastvg-status`) are the result
+        // document and carry no id, which is what keeps them
+        // byte-identical across shards, so they are never parsed.
+        let status_doc = upstream.header("x-fastvg-status").is_none();
+        let ClientResponse {
+            status,
+            headers,
+            mut body,
+        } = upstream;
+        if let Some(gid) = job_gid.filter(|_| status_doc) {
+            if let Ok(doc) = Json::parse(String::from_utf8_lossy(&body).trim_end()) {
                 if doc.get("job").is_some() {
                     if let Some(rewritten) = rewrite_job_field(&doc, gid) {
                         body = rewritten.into_bytes();
@@ -719,9 +725,8 @@ impl RouterService {
                 }
             }
         }
-        let mut response = Response::json(upstream.status, body);
-        for (name, value) in &upstream.headers {
-            let name = name.as_str();
+        let mut response = Response::json(status, body);
+        for (name, value) in headers {
             if name == "x-fastvg-job" || !name.starts_with("x-fastvg-") {
                 continue;
             }
@@ -731,7 +736,7 @@ impl RouterService {
                     continue;
                 }
             }
-            response = response.with_header(name.to_string(), value.clone());
+            response = response.with_header(name, value);
         }
         if let Some(gid) = job_gid {
             response = response.with_header("x-fastvg-job", gid.to_string());

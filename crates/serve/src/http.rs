@@ -15,11 +15,15 @@
 //!   whose paired [`Completer`] any thread may fulfill later; completion
 //!   wakes the reactor through an eventfd, so a long `?wait` extraction
 //!   parks a connection, never a thread;
-//! * **timer wheel deadlines** — a keep-alive connection idling between
-//!   requests hits [`HttpConfig::idle_timeout`] (silent close), while a
-//!   trickling client inside a request hits
-//!   [`HttpConfig::request_read_deadline`] (`408`) — two different
-//!   failure modes, two different timers;
+//! * **exact deadlines** — each connection state carries the one instant
+//!   at which the connection gives up, and the reactor keeps those
+//!   instants in one ordered set, one entry per connection: a keep-alive
+//!   connection idling between requests hits [`HttpConfig::idle_timeout`]
+//!   (silent close), a trickling client inside a request hits
+//!   [`HttpConfig::request_read_deadline`] (`408`), a parked request hits
+//!   its [`Deferred::with_fallback`] instant, and a peer that stops
+//!   reading a response is closed one read deadline after the write
+//!   first blocked;
 //! * **request limits** — head and body caps are enforced before any
 //!   allocation trusts the peer, and [`HttpConfig::max_connections`]
 //!   bounds the descriptor budget (over-limit accepts get `503`);
@@ -33,10 +37,10 @@
 //! this module speaks only the protocol. Response bytes are identical to
 //! the threaded server this replaced.
 
-use crate::wheel::{Fired, TimerWheel};
 use fastvg_obs::{SpanContext, SpanId, TraceId};
 use fastvg_wire::{TraceContext, TRACE_HEADER};
 use mini_epoll::{Event, Interest, Poller, Waker};
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,7 +59,9 @@ pub struct HttpConfig {
     pub max_body_bytes: usize,
     /// Hard deadline for reading one full request (head + body), armed
     /// at the first byte. Bounds how long a trickling client (slowloris)
-    /// can hold a parser mid-request; expiring answers `408`.
+    /// can hold a parser mid-request; expiring answers `408`. A response
+    /// write that blocks gets the same span for the peer to read it
+    /// before the connection is closed.
     pub request_read_deadline: Duration,
     /// How long a keep-alive connection may sit idle *between* requests
     /// before being closed silently. Distinct from
@@ -297,8 +303,15 @@ enum SlotState {
 
 #[derive(Debug)]
 struct Notify {
-    completions: Arc<Mutex<Vec<Fired>>>,
+    completions: Arc<Mutex<Vec<Completion>>>,
     waker: Arc<Waker>,
+    completion: Completion,
+}
+
+/// A deferred response completed for connection `token`; stale unless
+/// the connection is still at `cycle`.
+#[derive(Debug, Clone, Copy)]
+struct Completion {
     token: u64,
     cycle: u64,
 }
@@ -313,10 +326,7 @@ impl Slot {
                     .completions
                     .lock()
                     .expect("completions poisoned")
-                    .push(Fired {
-                        token: notify.token,
-                        cycle: notify.cycle,
-                    });
+                    .push(notify.completion);
                 let _ = notify.waker.wake();
             }
             SlotState::Empty => {}
@@ -444,8 +454,6 @@ impl ShutdownHandle {
 const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
-const WHEEL_TICK: Duration = Duration::from_millis(25);
-const WHEEL_SLOTS: usize = 1024;
 
 impl HttpServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts the reactor thread.
@@ -481,7 +489,7 @@ impl HttpServer {
             next_cycles: Vec::new(),
             free: Vec::new(),
             open: 0,
-            wheel: TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS),
+            deadlines: BTreeSet::new(),
             draining: false,
             drain_at: None,
         };
@@ -519,9 +527,16 @@ impl HttpServer {
     /// Waits until the reactor has fully stopped (drain complete). Call
     /// [`ShutdownHandle::shutdown`] first — or from another thread — or
     /// this blocks forever.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the reactor thread. Handler panics are caught
+    /// per request, so only a broken reactor invariant gets here.
     pub fn join(mut self) {
         if let Some(reactor) = self.reactor.take() {
-            let _ = reactor.join();
+            if let Err(panic) = reactor.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     }
 }
@@ -531,11 +546,10 @@ impl HttpServer {
 /// other fields stay borrowable.
 struct Ctx<'a> {
     poller: &'a Poller,
-    wheel: &'a mut TimerWheel,
     handler: &'a dyn Handler,
     config: &'a HttpConfig,
     stats: &'a ServerStats,
-    completions: &'a Arc<Mutex<Vec<Fired>>>,
+    completions: &'a Arc<Mutex<Vec<Completion>>>,
     waker: &'a Arc<Waker>,
     token: u64,
     now: Instant,
@@ -549,16 +563,21 @@ struct Reactor {
     config: HttpConfig,
     stop: Arc<AtomicBool>,
     waker: Arc<Waker>,
-    completions: Arc<Mutex<Vec<Fired>>>,
+    completions: Arc<Mutex<Vec<Completion>>>,
     stats: Arc<ServerStats>,
     conns: Vec<Option<Conn>>,
     /// Per-slot cycle seed, persisted across slot reuse so a stale
-    /// completion or timer for a dead connection can never match the
-    /// slot's next tenant.
+    /// completion for a dead connection can never match the slot's next
+    /// tenant.
     next_cycles: Vec<u64>,
     free: Vec<usize>,
     open: usize,
-    wheel: TimerWheel,
+    /// Exactly `{(conn.deadline(), token)}` over the open connections
+    /// that have a deadline: at most one entry per open connection, so
+    /// the first entry is the next instant the reactor must wake for and
+    /// no entry is ever stale. [`Reactor::with_conn`] and
+    /// [`Reactor::release`] keep it so.
+    deadlines: BTreeSet<(Instant, u64)>,
     draining: bool,
     drain_at: Option<Instant>,
 }
@@ -566,8 +585,8 @@ struct Reactor {
 impl Reactor {
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
-        let mut fired: Vec<Fired> = Vec::new();
         loop {
+            debug_assert!(self.deadlines.len() <= self.open, "leaked deadline");
             if self.stop.load(Ordering::SeqCst) && !self.draining {
                 self.begin_drain();
             }
@@ -579,12 +598,9 @@ impl Reactor {
                     break; // force-close stragglers by dropping them
                 }
             }
-            let now = Instant::now();
-            let mut timeout = self.wheel.poll_timeout(now);
-            if let Some(at) = self.drain_at {
-                let remaining = at.saturating_duration_since(now);
-                timeout = Some(timeout.map_or(remaining, |t| t.min(remaining)));
-            }
+            let next = self.deadlines.first().map(|&(at, _)| at);
+            let wake = next.into_iter().chain(self.drain_at).min();
+            let timeout = wake.map(|at| at.saturating_duration_since(Instant::now()));
             match self.poller.wait(&mut events, timeout) {
                 Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -598,30 +614,22 @@ impl Reactor {
                 }
             }
             self.drain_completions();
-            fired.clear();
-            self.wheel.expire(Instant::now(), &mut fired);
-            for f in &fired {
-                self.timer_fired(*f);
-            }
-            if self.wheel.needs_sweep() {
-                self.sweep_timers();
-            }
+            self.expire_deadlines();
         }
     }
 
-    /// Drops the wheel's entries that [`Reactor::timer_fired`] would
-    /// ignore as stale: their connection is gone or has moved to a new
-    /// cycle. Cancellation is lazy, so without this every request would
-    /// leave its idle, read and `?wait` timers behind until their
-    /// deadlines.
-    fn sweep_timers(&mut self) {
-        let conns = &self.conns;
-        self.wheel.retain(|token, cycle| {
-            token
-                .checked_sub(FIRST_CONN_TOKEN)
-                .and_then(|idx| conns.get(idx as usize)?.as_ref())
-                .is_some_and(|conn| conn.cycle == cycle)
-        });
+    /// Runs [`Conn::on_deadline`] for every deadline at or before now.
+    /// Each entry is popped before its connection runs, so it fires once;
+    /// it is always that connection's current deadline.
+    fn expire_deadlines(&mut self) {
+        let now = Instant::now();
+        while let Some(&(at, token)) = self.deadlines.first() {
+            if at > now {
+                break;
+            }
+            self.deadlines.pop_first();
+            self.with_conn(token, Conn::on_deadline);
+        }
     }
 
     fn begin_drain(&mut self) {
@@ -631,20 +639,13 @@ impl Reactor {
             let _ = self.poller.delete(&listener);
         }
         for idx in 0..self.conns.len() {
-            let is_idle = matches!(
-                self.conns[idx],
-                Some(Conn {
-                    state: ConnState::Idle,
-                    ..
-                })
-            ) && self.conns[idx]
-                .as_ref()
-                .is_some_and(|c| c.write_buf.is_empty());
-            if is_idle {
-                if let Some(conn) = self.conns[idx].take() {
-                    self.release(idx, conn);
-                }
-            } else if let Some(conn) = self.conns[idx].as_mut() {
+            let Some(conn) = self.conns[idx].as_mut() else {
+                continue;
+            };
+            if matches!(conn.state, ConnState::Idle { .. }) && conn.write_buf.is_empty() {
+                let conn = self.conns[idx].take().expect("checked above");
+                self.release(idx, conn);
+            } else {
                 conn.close_after_write = true;
             }
         }
@@ -683,17 +684,10 @@ impl Reactor {
                         self.free.push(idx);
                         continue;
                     }
-                    let conn = Conn::new(stream, self.next_cycles[idx]);
-                    // Arm the idle timer: a silent client must not hold a
-                    // descriptor forever.
-                    self.wheel.schedule(
-                        Instant::now() + self.config.idle_timeout,
-                        token,
-                        conn.cycle,
-                    );
-                    let mut conn = conn;
-                    conn.idle_armed_cycle = conn.cycle;
-                    self.conns[idx] = Some(conn);
+                    // A silent client must not hold a descriptor forever.
+                    let deadline = Instant::now() + self.config.idle_timeout;
+                    self.conns[idx] = Some(Conn::new(stream, self.next_cycles[idx], deadline));
+                    self.deadlines.insert((deadline, token));
                     self.open += 1;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
@@ -720,9 +714,13 @@ impl Reactor {
         (idx < self.conns.len()).then_some(idx)
     }
 
-    /// Returns the connection's slot to the free list and records its
-    /// final cycle so stale events can't touch the next tenant.
+    /// Returns the connection's slot to the free list, drops its
+    /// deadline, and records its final cycle so stale completions can't
+    /// touch the next tenant.
     fn release(&mut self, idx: usize, conn: Conn) {
+        if let Some(at) = conn.deadline() {
+            self.deadlines.remove(&(at, FIRST_CONN_TOKEN + idx as u64));
+        }
         let _ = self.poller.delete(&conn.stream);
         if let ConnState::Awaiting { slot, .. } = &conn.state {
             slot.close();
@@ -734,10 +732,11 @@ impl Reactor {
     }
 
     /// Runs `op` on the connection for `token` (if still alive), closing
-    /// it when `op` returns `false`. The `Ctx` is built field by field
-    /// here (not via a constructor) so the borrows split: `conn` is
-    /// taken out of `self.conns` first, then the rest of `self` lends
-    /// its pieces.
+    /// it when `op` returns `false`, and moves the connection's entry in
+    /// [`Reactor::deadlines`] to the deadline of the state `op` leaves.
+    /// The `Ctx` is built field by field here (not via a constructor) so
+    /// the borrows split: `conn` is taken out of `self.conns` first, then
+    /// the rest of `self` lends its pieces.
     fn with_conn(&mut self, token: u64, op: impl FnOnce(&mut Conn, &mut Ctx<'_>) -> bool) {
         let Some(idx) = self.slot_of(token) else {
             return;
@@ -745,9 +744,11 @@ impl Reactor {
         let Some(mut conn) = self.conns[idx].take() else {
             return;
         };
+        if let Some(at) = conn.deadline() {
+            self.deadlines.remove(&(at, token));
+        }
         let mut ctx = Ctx {
             poller: &self.poller,
-            wheel: &mut self.wheel,
             handler: self.handler.as_ref(),
             config: &self.config,
             stats: &self.stats,
@@ -759,6 +760,9 @@ impl Reactor {
         };
         let keep = op(&mut conn, &mut ctx);
         if keep {
+            if let Some(at) = conn.deadline() {
+                self.deadlines.insert((at, token));
+            }
             self.conns[idx] = Some(conn);
         } else {
             self.release(idx, conn);
@@ -778,7 +782,7 @@ impl Reactor {
     }
 
     fn drain_completions(&mut self) {
-        let pending: Vec<Fired> = {
+        let pending: Vec<Completion> = {
             let mut completions = self.completions.lock().expect("completions poisoned");
             std::mem::take(&mut *completions)
         };
@@ -791,22 +795,15 @@ impl Reactor {
             });
         }
     }
-
-    fn timer_fired(&mut self, fired: Fired) {
-        self.with_conn(fired.token, |conn, ctx| {
-            if conn.cycle != fired.cycle {
-                return true; // stale: cancelled by a state transition
-            }
-            conn.on_deadline(ctx)
-        });
-    }
 }
 
-/// Per-connection protocol state.
+/// Per-connection protocol state. Each state carries the instant at
+/// which the connection gives up on it (see [`Conn::deadline`]).
 #[derive(Debug)]
 enum ConnState {
-    /// Between requests (keep-alive) or fresh; idle timer armed.
-    Idle,
+    /// Between requests (keep-alive) or fresh; closed silently at
+    /// `deadline`, [`HttpConfig::idle_timeout`] after entering the state.
+    Idle { deadline: Instant },
     /// Some request bytes arrived; the head is not complete yet.
     ReadingHead {
         /// Whole-request read deadline, fixed at the first byte.
@@ -818,21 +815,23 @@ enum ConnState {
         body_len: usize,
         deadline: Instant,
     },
-    /// Request dispatched; parked on a deferred response.
+    /// Request dispatched; parked on a deferred response until its
+    /// fallback's instant, if it has one.
     Awaiting {
         slot: Arc<Slot>,
-        fallback: Option<Box<Response>>,
+        fallback: Option<(Instant, Box<Response>)>,
         close: bool,
     },
-    /// Response queued; flushing `write_buf`.
-    Writing,
+    /// Response queued; flushing `write_buf`. `deadline` is set when a
+    /// write first blocks: the peer must read by then.
+    Writing { deadline: Option<Instant> },
 }
 
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
-    /// Monotonic state-transition counter; timers and completions armed
-    /// with an older cycle are stale and ignored.
+    /// Bumped whenever a response is queued; a completion carrying an
+    /// older cycle belongs to an earlier request and is ignored.
     cycle: u64,
     state: ConnState,
     /// Unconsumed inbound bytes (may hold pipelined requests).
@@ -843,31 +842,32 @@ struct Conn {
     /// Peer sent FIN: serve what's buffered, then close.
     read_closed: bool,
     registered: Interest,
-    idle_armed_cycle: u64,
-    read_armed_cycle: u64,
-    write_armed_cycle: u64,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, cycle: u64) -> Conn {
+    fn new(stream: TcpStream, cycle: u64, deadline: Instant) -> Conn {
         Conn {
             stream,
             cycle,
-            state: ConnState::Idle,
+            state: ConnState::Idle { deadline },
             buf: Vec::new(),
             write_buf: Vec::new(),
             write_pos: 0,
             close_after_write: false,
             read_closed: false,
             registered: Interest::READABLE,
-            idle_armed_cycle: u64::MAX,
-            read_armed_cycle: u64::MAX,
-            write_armed_cycle: u64::MAX,
         }
     }
 
-    fn bump_cycle(&mut self) {
-        self.cycle = self.cycle.wrapping_add(1);
+    /// The instant this connection gives up in its current state.
+    fn deadline(&self) -> Option<Instant> {
+        match &self.state {
+            ConnState::Idle { deadline }
+            | ConnState::ReadingHead { deadline }
+            | ConnState::ReadingBody { deadline, .. } => Some(*deadline),
+            ConnState::Awaiting { fallback, .. } => fallback.as_ref().map(|(at, _)| *at),
+            ConnState::Writing { deadline } => *deadline,
+        }
     }
 
     fn buffer_cap(config: &HttpConfig) -> usize {
@@ -914,26 +914,22 @@ impl Conn {
             }
             if self.write_pos < self.write_buf.len() {
                 // Write-blocked: guard against a peer that never reads.
-                if self.write_armed_cycle != self.cycle {
-                    ctx.wheel.schedule(
-                        ctx.now + ctx.config.request_read_deadline,
-                        ctx.token,
-                        self.cycle,
-                    );
-                    self.write_armed_cycle = self.cycle;
+                if let ConnState::Writing { deadline } = &mut self.state {
+                    deadline.get_or_insert(ctx.now + ctx.config.request_read_deadline);
                 }
                 self.sync_interest(ctx);
                 return true;
             }
-            if matches!(self.state, ConnState::Writing) {
+            if matches!(self.state, ConnState::Writing { .. }) {
                 if self.close_after_write {
                     return false;
                 }
-                self.bump_cycle();
-                self.state = ConnState::Idle;
+                self.state = ConnState::Idle {
+                    deadline: ctx.now + ctx.config.idle_timeout,
+                };
             }
             match &self.state {
-                ConnState::Idle => {
+                ConnState::Idle { .. } => {
                     // Tolerate blank lines between requests (RFC 9112 §2.2).
                     let skip = self
                         .buf
@@ -947,19 +943,10 @@ impl Conn {
                         if self.read_closed {
                             return false;
                         }
-                        if self.idle_armed_cycle != self.cycle {
-                            ctx.wheel.schedule(
-                                ctx.now + ctx.config.idle_timeout,
-                                ctx.token,
-                                self.cycle,
-                            );
-                            self.idle_armed_cycle = self.cycle;
-                        }
                         self.sync_interest(ctx);
                         return true;
                     }
                     // First bytes of a request: start the per-request clock.
-                    self.bump_cycle();
                     self.state = ConnState::ReadingHead {
                         deadline: ctx.now + ctx.config.request_read_deadline,
                     };
@@ -975,7 +962,6 @@ impl Conn {
                             if self.read_closed {
                                 return false;
                             }
-                            self.arm_read_deadline(ctx, deadline);
                             self.sync_interest(ctx);
                             return true;
                         }
@@ -1008,17 +994,15 @@ impl Conn {
                         if self.read_closed {
                             return false;
                         }
-                        self.arm_read_deadline(ctx, deadline);
                         self.sync_interest(ctx);
                         return true;
                     }
                     let body: Vec<u8> = self.buf.drain(..body_len).collect();
                     let ConnState::ReadingBody { head, .. } =
-                        std::mem::replace(&mut self.state, ConnState::Idle)
+                        std::mem::replace(&mut self.state, ConnState::Writing { deadline: None })
                     else {
                         unreachable!("state checked above");
                     };
-                    self.bump_cycle();
                     ServerStats::bump(&ctx.stats.requests);
                     // The read clock started when the first byte armed the
                     // whole-request deadline; recover it from the deadline.
@@ -1048,8 +1032,10 @@ impl Conn {
                             let notify = Notify {
                                 completions: Arc::clone(ctx.completions),
                                 waker: Arc::clone(ctx.waker),
-                                token: ctx.token,
-                                cycle: self.cycle,
+                                completion: Completion {
+                                    token: ctx.token,
+                                    cycle: self.cycle,
+                                },
                             };
                             match slot.attach(notify) {
                                 Some(response) => {
@@ -1057,10 +1043,6 @@ impl Conn {
                                     self.queue_response(ctx, *response, close);
                                 }
                                 None => {
-                                    let fallback = fallback.map(|(at, response)| {
-                                        ctx.wheel.schedule(at, ctx.token, self.cycle);
-                                        response
-                                    });
                                     self.state = ConnState::Awaiting {
                                         slot,
                                         fallback,
@@ -1077,15 +1059,8 @@ impl Conn {
                     self.sync_interest(ctx);
                     return true;
                 }
-                ConnState::Writing => unreachable!("flushed above"),
+                ConnState::Writing { .. } => unreachable!("flushed above"),
             }
-        }
-    }
-
-    fn arm_read_deadline(&mut self, ctx: &mut Ctx<'_>, deadline: Instant) {
-        if self.read_armed_cycle != self.cycle {
-            ctx.wheel.schedule(deadline, ctx.token, self.cycle);
-            self.read_armed_cycle = self.cycle;
         }
     }
 
@@ -1096,45 +1071,30 @@ impl Conn {
         self.write_buf
             .extend_from_slice(&serialize_response(&response, close));
         self.close_after_write = close;
-        self.bump_cycle();
-        self.state = ConnState::Writing;
+        self.cycle = self.cycle.wrapping_add(1);
+        self.state = ConnState::Writing { deadline: None };
     }
 
     /// A deferred response was completed for the current cycle.
     fn on_completion(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        let state = std::mem::replace(&mut self.state, ConnState::Idle);
-        let ConnState::Awaiting {
-            slot,
-            fallback,
-            close,
-        } = state
-        else {
-            self.state = state;
+        let ConnState::Awaiting { slot, close, .. } = &self.state else {
             return true; // spurious
         };
-        match slot.take_if_done() {
-            Some(response) => {
-                self.queue_response(ctx, *response, close);
-                self.make_progress(ctx)
-            }
-            None => {
-                // Completion notification without a stored response should
-                // be impossible; re-park rather than invent an answer.
-                self.state = ConnState::Awaiting {
-                    slot,
-                    fallback,
-                    close,
-                };
-                true
-            }
-        }
+        let close = *close;
+        // A notification without a stored response should be impossible;
+        // stay parked rather than invent an answer.
+        let Some(response) = slot.take_if_done() else {
+            return true;
+        };
+        self.queue_response(ctx, *response, close);
+        self.make_progress(ctx)
     }
 
-    /// A timer armed for the current cycle fired; meaning depends on the
-    /// state the cycle belongs to.
+    /// The current state's deadline passed; what that means depends on
+    /// the state.
     fn on_deadline(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        match std::mem::replace(&mut self.state, ConnState::Idle) {
-            ConnState::Idle => {
+        match std::mem::replace(&mut self.state, ConnState::Writing { deadline: None }) {
+            ConnState::Idle { .. } => {
                 ServerStats::bump(&ctx.stats.idle_closed);
                 false // idle timeout: silent close, no error response
             }
@@ -1154,20 +1114,14 @@ impl Conn {
             } => {
                 // Race: the completion may have landed but not yet been
                 // drained — prefer the real response over the fallback.
-                let response = match slot.take_if_done() {
-                    Some(response) => *response,
-                    None => {
-                        slot.close();
-                        fallback.map_or_else(
-                            || Response::text(500, "deferred response timed out"),
-                            |boxed| *boxed,
-                        )
-                    }
+                // Either way the slot closes, discarding a late completion.
+                let Some(response) = slot.take_if_done().or(fallback.map(|(_, r)| r)) else {
+                    unreachable!("a parked state's only deadline is its fallback");
                 };
-                self.queue_response(ctx, response, close);
+                self.queue_response(ctx, *response, close);
                 self.make_progress(ctx)
             }
-            ConnState::Writing => false, // write stalled past the deadline
+            ConnState::Writing { .. } => false, // write stalled past the deadline
         }
     }
 
@@ -1422,8 +1376,7 @@ mod tests {
         let got = deferred.slot.attach(Notify {
             completions,
             waker,
-            token: 2,
-            cycle: 0,
+            completion: Completion { token: 2, cycle: 0 },
         });
         assert_eq!(got.expect("already done").body, b"early");
     }

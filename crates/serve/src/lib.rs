@@ -71,7 +71,6 @@ pub mod metrics;
 pub mod queue;
 pub mod remote;
 pub mod service;
-mod wheel;
 
 pub use cache::{CacheConfig, ResultCache};
 pub use client::{Client, ClientConfig, ClientResponse};

@@ -125,26 +125,6 @@ impl Histogram {
             .collect()
     }
 
-    /// Approximate quantile `q` in `[0, 1]`, read off the bucket bounds
-    /// (`None` when empty). Upper-bound biased: the true value is at or
-    /// below the returned bound.
-    pub fn quantile(&self, q: f64) -> Option<Duration> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                let us = BUCKET_BOUNDS_US.get(i).copied().unwrap_or(u64::MAX / 1000);
-                return Some(Duration::from_micros(us));
-            }
-        }
-        None
-    }
-
     /// Appends the exposition lines for a histogram named `name`.
     /// Public so `fastvg-router` renders its proxy-latency histogram in
     /// the same format.
@@ -494,16 +474,14 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_are_bucket_bounds() {
+    fn histogram_buckets_count_by_upper_bound() {
         let h = Histogram::default();
-        assert_eq!(h.quantile(0.5), None);
         for _ in 0..99 {
             h.observe(Duration::from_micros(80));
         }
         h.observe(Duration::from_millis(40));
-        assert_eq!(h.quantile(0.5), Some(Duration::from_micros(100)));
-        assert_eq!(h.quantile(0.99), Some(Duration::from_micros(100)));
-        assert_eq!(h.quantile(1.0), Some(Duration::from_micros(50_000)));
+        let filled: Vec<_> = h.buckets().into_iter().filter(|&(_, n)| n > 0).collect();
+        assert_eq!(filled, vec![(Some(100), 99), (Some(50_000), 1)]);
         assert_eq!(h.count(), 100);
     }
 

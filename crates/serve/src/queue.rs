@@ -275,35 +275,6 @@ impl JobQueue {
         inner.jobs.get(&id).map(|entry| entry.state.clone())
     }
 
-    /// Blocks until job `id` finishes, the timeout lapses, or the queue
-    /// stops. Returns the outcome only in the first case.
-    pub fn wait_finished(&self, id: u64, timeout: Duration) -> Option<FinishedJob> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        loop {
-            match inner.jobs.get(&id) {
-                Some(JobEntry {
-                    state: JobState::Finished(finished),
-                    ..
-                }) => return Some(finished.clone()),
-                Some(_) => {}
-                None => return None,
-            }
-            if inner.stopping {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(inner, deadline - now)
-                .expect("queue poisoned");
-            inner = guard;
-        }
-    }
-
     /// Takes the oldest pending job (blocking while the queue is empty)
     /// and marks it running. Returns `None` once the queue is stopping
     /// and drained — a worker's exit condition.
@@ -323,8 +294,8 @@ impl JobQueue {
         }
     }
 
-    /// Records a job's outcome and wakes any waiters — blocking
-    /// (`wait_finished`) and subscribed (`on_finished`) alike.
+    /// Records a job's outcome and fires its
+    /// [`JobQueue::on_finished`] subscriptions.
     pub fn finish(&self, id: u64, finished: FinishedJob) {
         let mut inner = self.inner.lock().expect("queue poisoned");
         let mut fire: Vec<FinishedCallback> = Vec::new();
@@ -336,7 +307,6 @@ impl JobQueue {
             }
         }
         drop(inner);
-        self.cv.notify_all();
         // Callbacks run outside the queue lock: they may grab other locks
         // (the reactor's completion list) or be arbitrarily slow.
         for callback in fire {
@@ -344,10 +314,9 @@ impl JobQueue {
         }
     }
 
-    /// Subscribes a one-shot callback for job `id`, the non-blocking
-    /// sibling of [`JobQueue::wait_finished`] (this is how the reactor's
-    /// deferred `?wait` responses get completed). The callback fires
-    /// on whichever thread resolves the job:
+    /// Subscribes a one-shot callback for job `id` (this is how the
+    /// reactor's deferred `?wait` responses get completed). The callback
+    /// fires on whichever thread resolves the job:
     ///
     /// * immediately on this thread if the job already finished (or is
     ///   unknown / the queue is stopping — then with `None`);
@@ -380,10 +349,10 @@ impl JobQueue {
         self.inner.lock().expect("queue poisoned").pending.len()
     }
 
-    /// Starts the shutdown: wakes every worker and waiter, and
-    /// fires outstanding [`JobQueue::on_finished`] subscriptions with
-    /// `None` so parked connections fall back instead of hanging out the
-    /// full wait timeout.
+    /// Starts the shutdown: wakes every worker, and fires outstanding
+    /// [`JobQueue::on_finished`] subscriptions with `None` so parked
+    /// connections fall back instead of hanging out the full wait
+    /// timeout.
     pub fn stop(&self) {
         let fire: Vec<FinishedCallback> = {
             let mut inner = self.inner.lock().expect("queue poisoned");
@@ -773,13 +742,28 @@ mod tests {
         assert!(matches!(q.status(a), Some(JobState::Running)));
     }
 
+    /// Waits up to a minute for job `id` to finish, through
+    /// [`JobQueue::on_finished`] as the daemon's `?wait` does.
+    fn wait_for(queue: &JobQueue, id: u64) -> FinishedJob {
+        let (tx, rx) = mpsc::channel();
+        queue.on_finished(
+            id,
+            Box::new(move |finished| {
+                let _ = tx.send(finished);
+            }),
+        );
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("job resolves in time")
+            .expect("job finishes")
+    }
+
     #[test]
     fn finish_wakes_waiters_and_is_observable() {
         let q = Arc::new(JobQueue::new(8, 16));
         let id = q.submit(request(7)).unwrap();
         let waiter = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.wait_finished(id, Duration::from_secs(5)))
+            std::thread::spawn(move || wait_for(&q, id))
         };
         let (taken, _, _) = q.take().unwrap();
         q.finish(
@@ -790,28 +774,20 @@ mod tests {
                 body: b"{}\n".as_slice().into(),
             },
         );
-        let finished = waiter.join().unwrap().expect("woken with outcome");
+        let finished = waiter.join().unwrap();
         assert!(finished.ok);
         assert!(matches!(q.status(id), Some(JobState::Finished(_))));
         assert_eq!(q.status(id).unwrap().name(), "done");
     }
 
     #[test]
-    fn wait_times_out_and_stop_unblocks() {
+    fn take_drains_then_stop_unblocks() {
         let q = Arc::new(JobQueue::new(8, 16));
-        let id = q.submit(request(9)).unwrap();
-        assert!(q.wait_finished(id, Duration::from_millis(30)).is_none());
-
+        q.submit(request(9)).unwrap();
         let blocked = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.take())
         };
-        let waiter = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.wait_finished(9999, Duration::from_secs(30)))
-        };
-        // Unknown job id returns immediately.
-        assert!(waiter.join().unwrap().is_none());
         // take first drains the one pending job…
         assert!(blocked.join().unwrap().is_some());
         // …then stop() makes the next take return None.
@@ -918,14 +894,7 @@ mod tests {
         let ids: Vec<u64> = (0..3)
             .map(|k| queue.submit(request(100 + k)).unwrap())
             .collect();
-        let outcomes: Vec<FinishedJob> = ids
-            .iter()
-            .map(|&id| {
-                queue
-                    .wait_finished(id, Duration::from_secs(60))
-                    .expect("job finishes")
-            })
-            .collect();
+        let outcomes: Vec<FinishedJob> = ids.iter().map(|&id| wait_for(&queue, id)).collect();
         for outcome in &outcomes {
             assert!(outcome.ok, "clean spec must extract");
             assert!(outcome.body.ends_with(b"\n"), "newline framing");
@@ -988,9 +957,7 @@ mod tests {
                 ..request(0)
             };
             let id = queue.submit(req.clone()).unwrap();
-            let finished = queue
-                .wait_finished(id, Duration::from_secs(30))
-                .expect("finishes");
+            let finished = wait_for(&queue, id);
             assert!(!finished.ok);
             let error = error_of(&finished);
             assert_eq!(
@@ -1036,11 +1003,7 @@ mod tests {
             queue.submit(doomed.clone()).unwrap(),
             queue.submit(healthy.clone()).unwrap(),
         ];
-        let [crashed, served] = ids.map(|id| {
-            queue
-                .wait_finished(id, Duration::from_secs(30))
-                .expect("job finishes")
-        });
+        let [crashed, served] = ids.map(|id| wait_for(&queue, id));
         assert!(!crashed.ok);
         let error = error_of(&crashed);
         assert_eq!(
@@ -1091,16 +1054,11 @@ mod tests {
             })
             .unwrap();
         let later = queue.submit(request(31)).unwrap();
-        let finished = queue
-            .wait_finished(later, Duration::from_secs(30))
-            .expect("the later job finishes while the slow one is held");
-        assert!(finished.ok);
+        // The later job finishes while the slow one is held.
+        assert!(wait_for(&queue, later).ok);
         assert_eq!(queue.status(slow).unwrap().name(), "running");
         release.send(()).unwrap();
-        let finished = queue
-            .wait_finished(slow, Duration::from_secs(30))
-            .expect("the slow job finishes once released");
-        assert!(finished.ok);
+        assert!(wait_for(&queue, slow).ok);
         queue.stop();
         handle.join().unwrap();
     }

@@ -11,8 +11,8 @@
 //!
 //! `?wait` requests never block a thread: the handler returns
 //! [`Outcome::Pending`] and completes the connection from the job
-//! queue's finish notification, with the reactor's timer wheel firing
-//! the `202 queued` fallback if the job outlives
+//! queue's finish notification, with the reactor answering the
+//! `202 queued` fallback at its deadline if the job outlives
 //! [`ServeConfig::wait_timeout`].
 
 use crate::cache::{CacheConfig, ResultCache, SharedResult};
@@ -746,8 +746,9 @@ impl ExtractService {
 
         // `?wait`: park the connection, not a thread. The queue's finish
         // notification completes it through the reactor; if the job is
-        // slower than `wait_timeout`, the reactor's timer wheel answers
-        // `202 queued` instead and the (eventual) completion is dropped.
+        // slower than `wait_timeout`, the reactor answers `202 queued` at
+        // the fallback's deadline instead and the (eventual) completion
+        // is dropped.
         let (deferred, completer) = deferred();
         let metrics = Arc::clone(&self.metrics);
         let slow = self.slow.clone();

@@ -1,8 +1,8 @@
 //! Framing-edge tests for the epoll reactor, over raw sockets: the
 //! cases a friendly keep-alive client never produces — pipelined
 //! segments, heads split across writes, slowloris bodies, half-open
-//! disconnects, accept-time overload, and graceful drain with a
-//! response still in flight.
+//! disconnects, accept-time overload, graceful drain with a response
+//! still in flight, deferred fallbacks and peers that stop reading.
 
 use fastvg_serve::{
     deferred, Completer, Handler, HttpConfig, HttpServer, Outcome, Request, Response,
@@ -11,24 +11,41 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long `/fallback` parks before the reactor answers for it.
+const FALLBACK_AFTER: Duration = Duration::from_millis(150);
+
+/// Body length of `/big`: far more than the kernel buffers hold.
+const BIG_BODY: usize = 32 << 20;
 
 /// Echoes `<method> <path>` (+ `:<body>` when non-empty); `/defer`
-/// parks the request and hands its [`Completer`] to the test thread.
+/// parks the request and hands its [`Completer`] to the test thread,
+/// `/fallback` does the same with a `202 fallback` armed
+/// [`FALLBACK_AFTER`] out, and `/big` answers a [`BIG_BODY`]-byte body.
 struct TestHandler {
     completers: Mutex<Sender<Completer>>,
 }
 
 impl Handler for TestHandler {
     fn handle(&self, request: &Request) -> Outcome {
-        if request.path == "/defer" {
-            let (deferred, completer) = deferred();
+        if request.path == "/defer" || request.path == "/fallback" {
+            let (mut deferred, completer) = deferred();
+            if request.path == "/fallback" {
+                deferred = deferred.with_fallback(
+                    Instant::now() + FALLBACK_AFTER,
+                    Response::text(202, "fallback"),
+                );
+            }
             self.completers
                 .lock()
                 .unwrap()
                 .send(completer)
                 .expect("test thread holds the receiver");
             return Outcome::Pending(deferred);
+        }
+        if request.path == "/big" {
+            return Outcome::Ready(Response::text(200, vec![b'x'; BIG_BODY]));
         }
         let mut text = format!("{} {}", request.method, request.path);
         if !request.body.is_empty() {
@@ -258,6 +275,13 @@ fn client_disconnect_while_parked_does_not_kill_the_reactor() {
 #[test]
 fn shutdown_drains_parked_requests_before_exiting() {
     let ts = boot(|config| config.drain_deadline = Duration::from_secs(10));
+    let mut idle: Vec<TcpStream> = (0..2).map(|_| connect(&ts.addr)).collect();
+    for stream in &mut idle {
+        stream
+            .write_all(b"GET /warm HTTP/1.1\r\nhost: t\r\n\r\n")
+            .unwrap();
+        assert_eq!(read_response(stream).0, 200);
+    }
     let mut stream = connect(&ts.addr);
     stream
         .write_all(b"GET /defer HTTP/1.1\r\nhost: t\r\n\r\n")
@@ -267,11 +291,16 @@ fn shutdown_drains_parked_requests_before_exiting() {
         .recv_timeout(Duration::from_secs(5))
         .expect("request reaches the handler");
 
-    // Shutdown with the response still pending: the reactor must wait
-    // for it, deliver it, then exit.
+    // Shutdown with the response still pending: idle connections close
+    // at once and silently, while the reactor waits for the parked
+    // response, delivers it, then exits.
     let handle = ts.server.shutdown_handle();
     handle.shutdown();
-    std::thread::sleep(Duration::from_millis(100));
+    for stream in &mut idle {
+        let mut trailing = Vec::new();
+        stream.read_to_end(&mut trailing).expect("clean close");
+        assert_eq!(trailing, b"", "an idle close writes nothing");
+    }
     completer.complete(Response::text(200, "drained"));
 
     let (status, headers, body) = read_response(&mut stream);
@@ -282,6 +311,116 @@ fn shutdown_drains_parked_requests_before_exiting() {
             .any(|(k, v)| k == "connection" && v == "close"),
         "draining responses must close: {headers:?}"
     );
+    ts.server.join();
+}
+
+#[test]
+fn parked_requests_get_their_fallback_and_keep_serving() {
+    let ts = boot(|_| {});
+    // Sixteen connections park 10 ms apart, so later arrivals wake the
+    // reactor while earlier fallbacks are pending; none may fire early.
+    let mut streams: Vec<TcpStream> = std::thread::scope(|scope| {
+        let parked: Vec<_> = (0..16)
+            .map(|_| {
+                std::thread::sleep(Duration::from_millis(10));
+                let mut stream = connect(&ts.addr);
+                scope.spawn(move || {
+                    let sent = Instant::now();
+                    stream
+                        .write_all(b"GET /fallback HTTP/1.1\r\nhost: t\r\n\r\n")
+                        .unwrap();
+                    let (status, _, body) = read_response(&mut stream);
+                    assert_eq!((status, body.as_slice()), (202, b"fallback".as_slice()));
+                    let waited = sent.elapsed();
+                    assert!(waited >= FALLBACK_AFTER, "fallback after {waited:?}");
+                    stream
+                })
+            })
+            .collect();
+        parked.into_iter().map(|p| p.join().unwrap()).collect()
+    });
+    let completers: Vec<Completer> = (0..streams.len())
+        .map(|_| {
+            ts.completers
+                .recv_timeout(Duration::from_secs(5))
+                .expect("request reaches the handler")
+        })
+        .collect();
+    // Late completions land on connections that already moved on.
+    for completer in completers {
+        completer.complete(Response::text(200, "too late"));
+    }
+    for (i, stream) in streams.iter_mut().enumerate() {
+        stream
+            .write_all(format!("GET /next{i} HTTP/1.1\r\nhost: t\r\n\r\n").as_bytes())
+            .unwrap();
+        let (status, _, body) = read_response(stream);
+        assert_eq!(status, 200);
+        assert_eq!(body, format!("GET /next{i}").into_bytes());
+    }
+    ts.server.shutdown_handle().shutdown();
+    ts.server.join();
+}
+
+#[test]
+fn a_completed_response_cancels_its_fallback() {
+    let ts = boot(|_| {});
+    let mut stream = connect(&ts.addr);
+    stream
+        .write_all(b"GET /fallback HTTP/1.1\r\nhost: t\r\n\r\n")
+        .unwrap();
+    let completer = ts
+        .completers
+        .recv_timeout(Duration::from_secs(5))
+        .expect("request reaches the handler");
+    completer.complete(Response::text(200, "done"));
+    let (status, _, body) = read_response(&mut stream);
+    assert_eq!((status, body.as_slice()), (200, b"done".as_slice()));
+
+    // The fallback's instant passes with the connection idle: nothing
+    // is written, and the next request is answered as usual.
+    std::thread::sleep(2 * FALLBACK_AFTER);
+    stream
+        .write_all(b"GET /after HTTP/1.1\r\nhost: t\r\n\r\n")
+        .unwrap();
+    let (status, _, body) = read_response(&mut stream);
+    assert_eq!((status, body.as_slice()), (200, b"GET /after".as_slice()));
+    ts.server.shutdown_handle().shutdown();
+    ts.server.join();
+}
+
+#[test]
+fn a_peer_that_stops_reading_is_closed() {
+    let ts = boot(|config| config.request_read_deadline = Duration::from_millis(300));
+    let mut stream = connect(&ts.addr);
+    stream
+        .write_all(b"GET /big HTTP/1.1\r\nhost: t\r\n\r\n")
+        .unwrap();
+    // Read nothing: the reactor's write blocks once the kernel buffers
+    // fill, and the write deadline gives up on the peer.
+    std::thread::sleep(Duration::from_millis(1500));
+    let mut received = 0usize;
+    let mut chunk = vec![0u8; 1 << 16];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => received += n,
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("the server kept the stalled connection open: {e}"),
+        }
+    }
+    assert!(
+        received < BIG_BODY,
+        "the connection closed only after the whole body ({received} bytes)"
+    );
+
+    let mut stream = connect(&ts.addr);
+    stream
+        .write_all(b"GET /alive HTTP/1.1\r\nhost: t\r\n\r\n")
+        .unwrap();
+    let (status, _, body) = read_response(&mut stream);
+    assert_eq!((status, body.as_slice()), (200, b"GET /alive".as_slice()));
+    ts.server.shutdown_handle().shutdown();
     ts.server.join();
 }
 

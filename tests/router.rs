@@ -2,13 +2,14 @@
 //! from a single daemon (bitwise on the deterministic report fields,
 //! byte-identical on cache hits), survives a mid-suite shard kill with
 //! zero failed requests, and peers warm caches onto freshly joined
-//! shards in 2- and 4-shard fleets. (The ring/health/proxy unit matrix
-//! lives in `crates/router`.)
+//! shards in 2- and 4-shard fleets, and hands out global job ids that
+//! poll back to their shard. (The ring/health/proxy unit matrix lives in
+//! `crates/router`.)
 
 use fastvg::prelude::*;
 use fastvg::router::{start as start_router, RouterConfig, ShardSpec};
 use fastvg::serve::{start as start_daemon, ClientResponse, ServeConfig, ServiceHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn daemon() -> ServiceHandle {
     start_daemon(ServeConfig {
@@ -290,6 +291,56 @@ fn four_shard_fleet_peers_past_cold_siblings() {
     fleet.shutdown();
     fleet.join();
     for d in empty.into_iter().chain([warm]) {
+        d.shutdown();
+        d.join();
+    }
+}
+
+/// An async submit answers `202` with a router-global job id, in the
+/// header and in the body's `"job"` member; polling that id reaches the
+/// owning shard until the job is done, and a `?wait` request for the
+/// same scenario then replays the polled bytes as a hit.
+#[test]
+fn async_submits_poll_back_through_the_router_with_global_ids() {
+    let (a, b) = (daemon(), daemon());
+    let fleet = router_over(&[&a, &b]);
+    let mut client = Client::connect(&fleet.addr().to_string()).expect("connect router");
+    let body = br#"{"benchmark": 4, "seed": 424242}"#;
+
+    let submitted = client.post("/extract", body).expect("submit");
+    assert_eq!(submitted.status, 202);
+    assert_eq!(submitted.header("x-fastvg-status"), None);
+    let gid: u64 = submitted
+        .header("x-fastvg-job")
+        .and_then(|v| v.parse().ok())
+        .expect("a global job id");
+    assert!(
+        gid & 0xff < 2,
+        "the low byte names one of two shards: {gid}"
+    );
+    let doc = submitted.json().expect("status document");
+    assert_eq!(doc.get("job").and_then(Json::as_u64), Some(gid));
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("queued"));
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let polled = loop {
+        let poll = client.get(&format!("/jobs/{gid}")).expect("poll");
+        assert_eq!(poll.header("x-fastvg-job"), Some(gid.to_string().as_str()));
+        if poll.header("x-fastvg-status") == Some("done") {
+            break poll;
+        }
+        assert!(Instant::now() < deadline, "job {gid} never finished");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(polled.status, 200);
+
+    let again = client.post("/extract?wait", body).expect("wait");
+    assert_eq!(again.header("x-fastvg-cache"), Some("hit"));
+    assert_eq!(again.body, polled.body, "the hit replays the polled bytes");
+
+    fleet.shutdown();
+    fleet.join();
+    for d in [a, b] {
         d.shutdown();
         d.join();
     }

@@ -86,8 +86,7 @@ fn zoo_vision_is_bit_identical() {
 
 /// The reference peak loop: a full rescan of the accumulator per peak
 /// with `max_by_key` (the last maximal cell on ties), then a θ-wrapping
-/// suppression square. Parameters are assumed valid, with a suppression
-/// radius of at most `n_theta`.
+/// suppression square. Parameters are assumed valid.
 fn reference_hough(edges: &EdgeMap, params: HoughParams) -> Vec<HoughLine> {
     let w = edges.width() as f64;
     let h = edges.height() as f64;
@@ -125,14 +124,19 @@ fn reference_hough(edges: &EdgeMap, params: HoughParams) -> Vec<HoughLine> {
             votes: best_v as usize,
         });
         for dt in -r..=r {
+            // Wrap θ one period at a time, mirroring ρ at each wrap.
+            let (mut t, mut mirrored) = (ti + dt, false);
+            while t < 0 {
+                t += n_theta as isize;
+                mirrored = !mirrored;
+            }
+            while t >= n_theta as isize {
+                t -= n_theta as isize;
+                mirrored = !mirrored;
+            }
             for dr in -r..=r {
-                let mut t = ti + dt;
                 let mut rr = ri + dr;
-                if t < 0 {
-                    t += n_theta as isize;
-                    rr = (n_rho as isize - 1) - rr;
-                } else if t >= n_theta as isize {
-                    t -= n_theta as isize;
+                if mirrored {
                     rr = (n_rho as isize - 1) - rr;
                 }
                 if rr < 0 || rr >= n_rho as isize {
@@ -178,7 +182,7 @@ proptest! {
         n_theta in 1usize..40,
         max_lines in 1usize..12,
         peak_fraction in 0.01..1.0,
-        suppression_radius in 0usize..6,
+        suppression_radius in 0usize..120,
         rho_resolution in 0.5..2.5,
     ) {
         let edges = canny(&step_image(w, h, &steps, noise, seed), CannyParams::default())
@@ -188,7 +192,7 @@ proptest! {
             rho_resolution,
             peak_fraction,
             max_lines,
-            suppression_radius: suppression_radius.min(n_theta),
+            suppression_radius,
         };
         let bits = |lines: &[HoughLine]| -> Vec<(u64, u64, usize)> {
             lines.iter().map(|l| (l.rho.to_bits(), l.theta.to_bits(), l.votes)).collect()
