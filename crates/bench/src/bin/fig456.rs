@@ -118,12 +118,7 @@ fn honeycomb(tee: &mut Tee) -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     let (ix, iy) = device.as_array().pair_line_intersection(0, &[0.0, 0.0])?;
     let window = (ix - 35.0, iy - 32.0, ix + 25.0, iy + 28.0);
-    let hc = trace_honeycomb(
-        device.capacitance_model(),
-        &ChargeStateSolver::default(),
-        window,
-        150,
-    )?;
+    let hc = trace_honeycomb(device.capacitance_model(), &ChargeStateSolver, window, 150)?;
 
     let grid = VoltageGrid::new(window.0, window.1, 0.6, 100, 100)?;
     let csd = Csd::from_fn(grid, |v1, v2| {

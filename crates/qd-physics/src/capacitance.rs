@@ -191,13 +191,28 @@ impl CapacitanceModel {
                 got: voltages.len(),
             });
         }
-        for (qi, row) in q.iter_mut().zip(self.cg.chunks_exact(self.n_gates)) {
+        // Rows sliced by offset, not `chunks_exact`: its row count is a
+        // division on every pixel's critical path.
+        for (i, qi) in q.iter_mut().enumerate() {
             *qi = 0.0;
-            for (&c, &v) in row.iter().zip(voltages) {
+            for (&c, &v) in self.cg[i * self.n_gates..][..self.n_gates]
+                .iter()
+                .zip(voltages)
+            {
                 *qi += c * v;
             }
         }
         Ok(())
+    }
+
+    /// `E` as `[[E_00, E_01], [E_10, E_11]]` for a two-dot model, `None`
+    /// for any other dot count: the charge-state kernel's dispatch.
+    #[inline]
+    pub(crate) fn pair_interaction(&self) -> Option<[[f64; 2]; 2]> {
+        match self.e[..] {
+            [e00, e01, e10, e11] => Some([[e00, e01], [e10, e11]]),
+            _ => None,
+        }
     }
 
     /// Electrostatic energy `U(N, V) = ½ (N − q)ᵀ E (N − q)` of an integer
@@ -228,8 +243,8 @@ impl CapacitanceModel {
     /// `U = Σ_i Σ_j ½·d_i·E_ij·d_j` with `d = N − q`, for an occupation
     /// already in `f64` and a precomputed induced charge `q`. Each term is
     /// `((0.5 · d_i) · E_ij) · d_j`, accumulated from `0.0` row-major.
-    /// Inline so the charge-state kernel's walks, which call it twice per
-    /// configuration, can fuse it across codegen units.
+    /// Inline so the charge-state kernel's general walk, which calls it
+    /// twice per configuration, can fuse it across codegen units.
     #[inline]
     pub(crate) fn energy_at(&self, q: &[f64], occupation: &[f64]) -> f64 {
         let mut u = 0.0;

@@ -104,7 +104,6 @@ impl DoubleDotDevice {
 pub struct LinearArrayDevice {
     model: CapacitanceModel,
     sensor: SensorModel,
-    solver: ChargeStateSolver,
     temperature: f64,
 }
 
@@ -123,8 +122,7 @@ impl LinearArrayDevice {
     pub fn current(&self, voltages: &[f64]) -> Result<f64, PhysicsError> {
         let mut occ = [0.0; CapacitanceModel::MAX_DOTS];
         let occ = &mut occ[..self.model.n_dots()];
-        self.solver
-            .thermal_occupation_into(&self.model, voltages, self.temperature, occ)?;
+        ChargeStateSolver.thermal_occupation_into(&self.model, voltages, self.temperature, occ)?;
         self.sensor.current(occ, voltages)
     }
 
@@ -135,7 +133,7 @@ impl LinearArrayDevice {
     /// Returns [`PhysicsError::GateCountMismatch`] for a wrong-length
     /// voltage vector.
     pub fn ground_state(&self, voltages: &[f64]) -> Result<ChargeConfiguration, PhysicsError> {
-        self.solver.ground_state(&self.model, voltages)
+        ChargeStateSolver.ground_state(&self.model, voltages)
     }
 
     /// Thermal mean occupations at `voltages`.
@@ -145,8 +143,7 @@ impl LinearArrayDevice {
     /// Returns [`PhysicsError::GateCountMismatch`] for a wrong-length
     /// voltage vector.
     pub fn mean_occupation(&self, voltages: &[f64]) -> Result<Vec<f64>, PhysicsError> {
-        self.solver
-            .thermal_occupation(&self.model, voltages, self.temperature)
+        ChargeStateSolver.thermal_occupation(&self.model, voltages, self.temperature)
     }
 
     /// Analytic ground truth for the adjacent pair `(pair, pair + 1)`,
@@ -278,7 +275,6 @@ pub struct DeviceBuilder {
     mutual: f64,
     lever_arms: Option<Vec<Vec<f64>>>,
     temperature: f64,
-    max_electrons: u32,
     sensor: Option<SensorModel>,
 }
 
@@ -297,7 +293,6 @@ impl DeviceBuilder {
             mutual: 0.15,
             lever_arms: None,
             temperature: 0.012,
-            max_electrons: 3,
             sensor: None,
         }
     }
@@ -338,13 +333,6 @@ impl DeviceBuilder {
         self
     }
 
-    /// Sets the per-dot occupation search bound.
-    #[must_use]
-    pub fn max_electrons(mut self, max: u32) -> Self {
-        self.max_electrons = max;
-        self
-    }
-
     /// Sets a custom sensor model.
     #[must_use]
     pub fn sensor(mut self, sensor: SensorModel) -> Self {
@@ -373,8 +361,8 @@ impl DeviceBuilder {
     ///
     /// # Errors
     ///
-    /// Propagates parameter validation errors from the capacitance,
-    /// sensor and solver submodels.
+    /// Propagates parameter validation errors from the capacitance and
+    /// sensor submodels.
     pub fn build_array(self) -> Result<LinearArrayDevice, PhysicsError> {
         if self.temperature < 0.0 || !self.temperature.is_finite() {
             return Err(PhysicsError::InvalidParameter {
@@ -400,11 +388,9 @@ impl DeviceBuilder {
                 what: "sensor shape",
             });
         }
-        let solver = ChargeStateSolver::new(self.max_electrons)?;
         Ok(LinearArrayDevice {
             model,
             sensor,
-            solver,
             temperature: self.temperature,
         })
     }

@@ -284,7 +284,7 @@ mod tests {
             .pair_line_intersection(0, &[0.0, 0.0])
             .unwrap();
         let window = (ix - 30.0, iy - 30.0, ix + 25.0, iy + 25.0);
-        (model, ChargeStateSolver::default(), window)
+        (model, ChargeStateSolver, window)
     }
 
     #[test]
@@ -415,7 +415,7 @@ mod tests {
             .pair_line_intersection(0, &[0.0, 0.0])
             .unwrap();
         let window = (ix - 25.0, iy - 25.0, ix + 20.0, iy + 20.0);
-        let hc = trace_honeycomb(&model, &ChargeStateSolver::default(), window, 160).unwrap();
+        let hc = trace_honeycomb(&model, &ChargeStateSolver, window, 160).unwrap();
         let interdot_len: f64 = hc
             .segments
             .iter()
